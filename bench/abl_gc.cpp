@@ -34,12 +34,8 @@ main(int argc, char **argv)
     sweep::SweepOptions opts;
     opts.jobs = args.jobs;
     opts.cacheDir = args.cacheDir;
-    obs::PerfReportSet perfReports;
-    bench::attachPerfObserver(opts, args, perfReports);
-    prof::CctReportSet cctReports;
-    bench::attachCctObserver(opts, args, cctReports);
-    prof::SampleReportSet sampleReports;
-    bench::attachSampleObserver(opts, args, sampleReports);
+    obs::ObsReports reports;
+    sweep::attachObservers(opts, args.obs, reports);
     sweep::SweepEngine engine(opts);
     const sweep::SweepResult result =
         engine.run(sweep::buildGcGrid());
@@ -48,8 +44,7 @@ main(int argc, char **argv)
             if (!p.ok)
                 std::cerr << p.label << ": " << p.error << '\n';
         }
-        bench::finishObs(args, &perfReports, &cctReports,
-                         &sampleReports);
+        bench::finishObs(args, reports);
         return 1;
     }
 
@@ -79,7 +74,6 @@ main(int argc, char **argv)
 
     if (!args.json.empty())
         result.writeJson(args.json);
-    bench::finishObs(args, &perfReports, &cctReports,
-                     &sampleReports);
+    bench::finishObs(args, reports);
     return 0;
 }

@@ -23,9 +23,7 @@
 #include "prof/sampler.h"
 #include "support/statistics.h"
 #include "support/table.h"
-#include "sweep/cct_observer.h"
-#include "sweep/perf_observer.h"
-#include "sweep/sample_observer.h"
+#include "sweep/observers.h"
 #include "vm/runtime/vm_error.h"
 
 namespace jrs::bench {
@@ -171,65 +169,14 @@ setupObs(const SweepBenchArgs &args)
 /**
  * Write the requested observability files. Call on every exit path
  * after the sweep ran (including early failure returns, so a partial
- * run still leaves its metrics behind for diagnosis). @p perf, when
- * non-null, is the attribution collected via attachPerfObserver.
+ * run still leaves its metrics behind for diagnosis). @p reports is
+ * what sweep::attachObservers collected.
  */
 inline void
-finishObs(const SweepBenchArgs &args,
-          const obs::PerfReportSet *perf = nullptr,
-          const prof::CctReportSet *cct = nullptr,
-          const prof::SampleReportSet *sample = nullptr)
+finishObs(const SweepBenchArgs &args, const obs::ObsReports &reports)
 {
     args.obs.finish(std::cout);
-    if (perf != nullptr)
-        args.obs.writePerf(*perf, std::cout);
-    if (cct != nullptr)
-        args.obs.writeCct(*cct, std::cout);
-    if (sample != nullptr)
-        args.obs.writeSample(*sample, std::cout);
-}
-
-/**
- * Wire --perf-json into a sweep (no-op unless the flag was given):
- * see sweep/perf_observer.h. @p reports must outlive the sweep.
- */
-inline void
-attachPerfObserver(sweep::SweepOptions &opts,
-                   const SweepBenchArgs &args,
-                   obs::PerfReportSet &reports)
-{
-    if (args.obs.perfRequested())
-        sweep::attachPerfObserver(opts, reports);
-}
-
-/**
- * Wire --cct-json/--flame into a sweep (no-op unless one of the flags
- * was given): see sweep/cct_observer.h. @p reports must outlive the
- * sweep. Composes with attachPerfObserver — both observers may watch
- * the same sweep.
- */
-inline void
-attachCctObserver(sweep::SweepOptions &opts,
-                  const SweepBenchArgs &args,
-                  prof::CctReportSet &reports)
-{
-    if (args.obs.cctRequested())
-        sweep::attachCctObserver(opts, reports);
-}
-
-/**
- * Wire --sample-json into a sweep (no-op unless the flag was given):
- * see sweep/sample_observer.h. @p reports must outlive the sweep.
- * Composes with the perf and CCT observers.
- */
-inline void
-attachSampleObserver(sweep::SweepOptions &opts,
-                     const SweepBenchArgs &args,
-                     prof::SampleReportSet &reports)
-{
-    if (args.obs.sampleRequested())
-        sweep::attachSampleObserver(opts, args.obs.sampleOptions(),
-                                    reports);
+    args.obs.writeReports(reports, std::cout);
 }
 
 /** Sum of per-point stream events across a finished sweep. */

@@ -169,12 +169,8 @@ main(int argc, char **argv)
     sweep::SweepOptions opts;
     opts.jobs = args.jobs;
     opts.cacheDir = args.cacheDir;
-    obs::PerfReportSet perfReports;
-    bench::attachPerfObserver(opts, args, perfReports);
-    prof::CctReportSet cctReports;
-    bench::attachCctObserver(opts, args, cctReports);
-    prof::SampleReportSet sampleReports;
-    bench::attachSampleObserver(opts, args, sampleReports);
+    obs::ObsReports reports;
+    sweep::attachObservers(opts, args.obs, reports);
     sweep::SweepEngine engine(opts);
     const sweep::SweepResult result = engine.run(
         {timelinePoint(false, &interp), timelinePoint(true, &jit)});
@@ -183,8 +179,7 @@ main(int argc, char **argv)
             if (!p.ok)
                 std::cerr << p.label << ": " << p.error << '\n';
         }
-        bench::finishObs(args, &perfReports, &cctReports,
-                         &sampleReports);
+        bench::finishObs(args, reports);
         return 1;
     }
 
@@ -207,12 +202,10 @@ main(int argc, char **argv)
                      "bit-identical: "
                   << (same ? "yes" : "NO") << '\n';
         if (!same) {
-            bench::finishObs(args, &perfReports, &cctReports,
-                         &sampleReports);
+            bench::finishObs(args, reports);
             return 1;
         }
     }
-    bench::finishObs(args, &perfReports, &cctReports,
-                     &sampleReports);
+    bench::finishObs(args, reports);
     return 0;
 }

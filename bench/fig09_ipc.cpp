@@ -13,7 +13,7 @@
  * replays it through a perf-attribution pipeline (default config,
  * issue width 4), writing per-method CPI stacks per (workload, mode).
  * Without the flag the bench runs exactly as before — live, no
- * recording, listeners unset.
+ * recording, no observers.
  */
 #include "arch/pipeline/pipeline.h"
 #include "bench_util.h"

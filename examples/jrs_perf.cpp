@@ -3,8 +3,8 @@
  * jrs_perf — per-method / per-bytecode microarchitectural attribution
  * for one workload run.
  *
- * Records a workload's dynamic native stream, replays it through an
- * architecture model with a perf-attribution pass attached
+ * Records a workload's dynamic native stream, replays it once through
+ * an architecture model with a perf-attribution pass attached
  * (obs/perf.h), and reports where the cycles, cache misses and branch
  * mispredicts went — per method, per opcode, and per bytecode site.
  *
@@ -29,14 +29,12 @@
  *                                Perfetto counter tracks
  *   --perf-json FILE             write the jrs-perf-report-v1 report
  *   --cct-json FILE              write a jrs-cct-v1 calling-context
- *                                tree (extra replay through a
- *                                CCT-observed pipeline; its totals are
- *                                cross-checked like everything else)
+ *                                tree (its totals are cross-checked
+ *                                like everything else)
  *   --flame FILE                 folded stacks (flamegraph.pl input)
  *   --sample-json FILE           write a jrs-sample-v1 sampled profile
- *                                (extra replay through a sampling-
- *                                observed pipeline; the model's totals
- *                                must match the exact replay exactly)
+ *                                (its cycle clock must end on the
+ *                                pipeline's total cycles)
  *   --sample-period N            mean cycles between samples
  *   --sample-seed N              sampling PRNG seed
  *
@@ -356,29 +354,40 @@ main(int argc, char **argv)
     popt.timelineWindow = window;
     popt.program = &prog;
 
-    // Replay through the chosen model with attribution attached; keep
-    // whichever composite was built alive for the conservation check.
-    std::unique_ptr<obs::AttributedPipeline> pipe;
-    std::unique_ptr<obs::AttributedCaches> caches;
+    // One replay feeds every profiler: the perf pass rides the chosen
+    // model, the CCT and the sampler ride the pipeline (the same one
+    // in pipeline mode).
+    obs::Observers profs = cli.observers(*map, popt);
+    if (profs.perf == nullptr)
+        profs.perf = std::make_unique<obs::PerfAttribution>(*map, popt);
+    PipelineSim pipe{PipelineConfig{}};
+    CacheSink caches(CacheConfig{}, CacheConfig{});
+    MultiSink models;
     if (model == "pipeline") {
-        pipe = std::make_unique<obs::AttributedPipeline>(
-            PipelineConfig{}, map, popt);
-        buffer.replay(*pipe);
+        profs.attachTo(pipe);
+        models.add(&pipe);
     } else {
-        caches = std::make_unique<obs::AttributedCaches>(
-            CacheConfig{}, CacheConfig{}, map, popt);
-        buffer.replay(*caches);
+        caches.observe(*profs.perf);
+        models.add(&caches);
+        if (profs.cct != nullptr)
+            pipe.observe(*profs.cct);
+        if (profs.sampler != nullptr)
+            pipe.observe(*profs.sampler);
+        if (profs.cct != nullptr || profs.sampler != nullptr)
+            models.add(&pipe);
     }
-    const obs::PerfAttribution &perf =
-        pipe != nullptr ? pipe->perf() : caches->perf();
+    buffer.replay(models);
+    const obs::PerfAttribution &perf = *profs.perf;
+    const std::string label = std::string(w->name) + "/" + mode;
+    obs::ObsReports reports;
+    profs.addTo(reports, label);
 
     std::cout << w->name << " --mode " << mode << " --arg " << arg
               << " (" << model << " model): exit=" << res.exitValue
               << ", " << withCommas(perf.totalEvents()) << " events";
-    if (pipe != nullptr) {
-        std::cout << ", " << withCommas(pipe->pipeline().cycles())
-                  << " cycles, IPC "
-                  << fixed(pipe->pipeline().ipc(), 3);
+    if (model == "pipeline") {
+        std::cout << ", " << withCommas(pipe.cycles())
+                  << " cycles, IPC " << fixed(pipe.ipc(), 3);
     }
     if (gcCli.enabled()) {
         std::cout << ", " << gc::collectorName(cfg.gc.collector)
@@ -431,54 +440,41 @@ main(int argc, char **argv)
         t.print(std::cout);
     }
 
-    bool conserved = pipe != nullptr
-        ? checkPipeline(perf, pipe->pipeline())
-        : checkCaches(perf, caches->caches());
+    bool conserved = model == "pipeline" ? checkPipeline(perf, pipe)
+                                         : checkCaches(perf, caches);
 
-    if (cli.cctRequested()) {
-        // One more replay, through the calling-context profiler; its
-        // node totals must partition the pipeline's cycles exactly.
-        prof::CctPipeline cct(PipelineConfig{}, map);
-        buffer.replay(cct);
-        conserved &= expectEq("cct events", cct.cct().totalEvents(),
-                              cct.pipeline().instructions());
-        conserved &= expectEq("cct cycles", cct.cct().totalCycles(),
-                              cct.pipeline().cycles());
+    if (profs.cct != nullptr) {
+        // The calling-context tree partitions the pipeline's events
+        // and cycles exactly.
+        const prof::CctBuilder &cct = *profs.cct;
+        conserved &= expectEq("cct events", cct.totalEvents(),
+                              pipe.instructions());
+        conserved &= expectEq("cct cycles", cct.totalCycles(),
+                              pipe.cycles());
         std::uint64_t nodeCycles = 0;
         std::uint64_t nodeEvents = 0;
-        for (const prof::CctNode &n : cct.cct().nodes()) {
+        for (const prof::CctNode &n : cct.nodes()) {
             nodeCycles += n.cycles();
             nodeEvents += n.events;
         }
         conserved &= expectEq("sum(cct node cycles)", nodeCycles,
-                              cct.pipeline().cycles());
+                              pipe.cycles());
         conserved &= expectEq("sum(cct node events)", nodeEvents,
-                              cct.pipeline().instructions());
-        prof::CctReportSet cctReports;
-        cctReports.add(std::string(w->name) + "/" + mode, cct.cct());
-        cli.writeCct(cctReports, std::cout);
+                              pipe.instructions());
+        cli.writeCct(reports.cct, std::cout);
     }
 
-    if (cli.sampleRequested()) {
-        // One more replay, through the sampling profiler; sampling is
-        // read-only, so this model must agree with the exact one.
-        prof::SamplePipeline sp(PipelineConfig{}, map,
-                                cli.sampleOptions());
-        buffer.replay(sp);
-        if (pipe != nullptr) {
-            conserved &= expectEq("sampled-replay cycles",
-                                  sp.pipeline().cycles(),
-                                  pipe->pipeline().cycles());
-        }
+    if (profs.sampler != nullptr) {
+        // The sampler's cycle clock advances by every CPI sample, so
+        // it must end on the pipeline's total.
+        const prof::SamplingProfiler &sampler = *profs.sampler;
+        conserved &= expectEq("sampler clock", sampler.clockTotal(),
+                              pipe.cycles());
         std::cout << "\nsampled profile: "
-                  << withCommas(sp.sampler().samples())
-                  << " samples (period "
-                  << sp.sampler().options().period << ", seed "
-                  << sp.sampler().options().seed << ")\n";
-        prof::SampleReportSet sampleReports;
-        sampleReports.add(std::string(w->name) + "/" + mode,
-                          sp.sampler());
-        cli.writeSample(sampleReports, std::cout);
+                  << withCommas(sampler.samples()) << " samples (period "
+                  << sampler.options().period << ", seed "
+                  << sampler.options().seed << ")\n";
+        cli.writeSample(reports.sample, std::cout);
     }
 
     std::cout << "\nconservation vs model aggregates: "
@@ -486,9 +482,7 @@ main(int argc, char **argv)
 
     if (window != 0 && !cli.traceJson.empty())
         perf.emitCounterTracks(obs::tracer(), w->name);
-    obs::PerfReportSet reports;
-    reports.add(std::string(w->name) + "/" + mode, perf);
-    cli.writePerf(reports, std::cout);
+    cli.writePerf(reports.perf, std::cout);
     cli.finish(std::cout);
     return conserved ? 0 : 1;
 }

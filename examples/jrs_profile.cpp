@@ -30,11 +30,10 @@
  *   --sample-json FILE           jrs-sample-v1 sampled profile
  *   --sample-period N            mean cycles between samples
  *   --sample-seed N              sampling PRNG seed
- *   --calibrate                  replay through both the exact and the
- *                                sampled profiler and print a
- *                                per-method sampled-vs-exact error
- *                                table (share error, top-N overlap,
- *                                rank agreement)
+ *   --calibrate                  run both the exact and the sampled
+ *                                profiler and print a per-method
+ *                                sampled-vs-exact error table (share
+ *                                error, top-N overlap, rank agreement)
  *   --collector/--heap-bytes/... collector knobs (see GcCli)
  *
  * Differential flamegraphs (two runs of the same workload):
@@ -55,6 +54,7 @@
 #include <cstdlib>
 #include <iostream>
 #include <fstream>
+#include <memory>
 #include <string>
 
 #include "arch/pipeline/pipeline.h"
@@ -298,82 +298,68 @@ main(int argc, char **argv)
         std::cout << "\nwrote " << jsonPath << '\n';
     }
 
-    if (cli.perfRequested()) {
-        // Second offline replay, this time through the pipeline model
-        // with attribution attached: same stream, richer join.
-        obs::PerfOptions popt;
-        popt.program = &base.prog;
-        obs::AttributedPipeline attributed(PipelineConfig{}, base.map,
-                                           popt);
-        base.buffer.replay(attributed);
-        obs::PerfReportSet reports;
-        reports.add(base.label, attributed.perf());
+    // One more offline replay feeds every profiler asked for: the
+    // perf pass, the CCT (also for --flame-diff and --calibrate) and
+    // the sampler (also for --calibrate) all ride one pipeline, and
+    // each must conserve its cycles.
+    obs::PerfOptions popt;
+    popt.program = &base.prog;
+    obs::Observers profs = cli.observers(*base.map, popt);
+    if (profs.cct == nullptr && (calibrateRequested || diffRequested))
+        profs.cct = std::make_unique<prof::CctBuilder>(*base.map);
+    if (profs.sampler == nullptr && calibrateRequested)
+        profs.sampler = std::make_unique<prof::SamplingProfiler>(
+            *base.map, cli.sampleOptions());
+    PipelineSim pipe{PipelineConfig{}};
+    profs.attachTo(pipe);
+    if (profs.perf != nullptr || profs.cct != nullptr
+        || profs.sampler != nullptr)
+        base.buffer.replay(pipe);
+    if (!profs.conserves(pipe.cycles(), std::cerr))
+        return 1;
+    obs::ObsReports reports;
+    profs.addTo(reports, base.label);
+
+    if (profs.perf != nullptr) {
         std::cout << '\n';
-        cli.writePerf(reports, std::cout);
+        cli.writePerf(reports.perf, std::cout);
     }
+    cli.writeCct(reports.cct, std::cout);
 
-    if (cli.cctRequested() || !flameDiff.empty()) {
-        // Offline replay through the calling-context profiler.
-        prof::CctPipeline cct(PipelineConfig{}, base.map);
-        base.buffer.replay(cct);
-        prof::CctReportSet reports;
-        reports.add(base.label, cct.cct());
-        cli.writeCct(reports, std::cout);
-
-        if (!flameDiff.empty()) {
-            obs::GcCli diffGc = gcCli;
-            if (!diffCollector.empty()
-                && !gc::parseCollector(diffCollector,
-                                       &diffGc.gc.collector)) {
-                std::cerr << "error: unknown --diff-collector '"
-                          << diffCollector << "'\n";
-                return 2;
-            }
-            Recorded other = record(
-                w, diffMode.empty() ? mode : diffMode, arg, diffGc);
-            prof::CctPipeline otherCct(PipelineConfig{}, other.map);
-            other.buffer.replay(otherCct);
-            prof::writeFoldedDiff(cct.cct().foldedLines(),
-                                  otherCct.cct().foldedLines(),
-                                  flameDiff);
-            std::cout << "wrote " << flameDiff << " (" << base.label
-                      << " vs " << other.label << ")\n";
+    if (diffRequested) {
+        obs::GcCli diffGc = gcCli;
+        if (!diffCollector.empty()
+            && !gc::parseCollector(diffCollector,
+                                   &diffGc.gc.collector)) {
+            std::cerr << "error: unknown --diff-collector '"
+                      << diffCollector << "'\n";
+            return 2;
         }
+        Recorded other = record(
+            w, diffMode.empty() ? mode : diffMode, arg, diffGc);
+        prof::CctPipeline otherCct(PipelineConfig{}, other.map);
+        other.buffer.replay(otherCct);
+        prof::writeFoldedDiff(profs.cct->foldedLines(),
+                              otherCct.cct().foldedLines(), flameDiff);
+        std::cout << "wrote " << flameDiff << " (" << base.label
+                  << " vs " << other.label << ")\n";
     }
 
-    if (calibrateRequested || cli.sampleRequested()) {
-        // Offline replay through the sampling profiler (cycle clock).
-        prof::SamplePipeline sp(PipelineConfig{}, base.map,
-                                cli.sampleOptions());
-        base.buffer.replay(sp);
+    if (profs.sampler != nullptr) {
+        const prof::SamplingProfiler &sampler = *profs.sampler;
         std::cout << "\nsampled profile: "
-                  << withCommas(sp.sampler().samples())
-                  << " samples (period "
-                  << sp.sampler().options().period << ", seed "
-                  << sp.sampler().options().seed << ")\n";
-
+                  << withCommas(sampler.samples()) << " samples (period "
+                  << sampler.options().period << ", seed "
+                  << sampler.options().seed << ")\n";
         if (calibrateRequested) {
-            // Ground truth: the exact profiler over the same stream.
-            prof::CctPipeline exact(PipelineConfig{}, base.map);
-            base.buffer.replay(exact);
-            if (exact.pipeline().cycles()
-                != sp.pipeline().cycles()) {
-                std::cerr << "error: sampled replay perturbed the "
-                             "model ("
-                          << sp.pipeline().cycles() << " cycles vs "
-                          << exact.pipeline().cycles() << ")\n";
-                return 1;
-            }
+            // Ground truth: the exact profiler rode the same pipeline.
             const prof::CalibrationReport rep =
-                prof::calibrate(exact.cct(), sp.sampler(), topN);
+                prof::calibrate(*profs.cct, sampler, topN);
             std::cout << "\nsampled vs exact (per-method "
                       << rep.value << " shares):\n"
                       << rep.text(topN);
         }
-
-        prof::SampleReportSet sampleReports;
-        sampleReports.add(base.label, sp.sampler());
-        cli.writeSample(sampleReports, std::cout);
+        cli.writeSample(reports.sample, std::cout);
     }
     cli.finish(std::cout);
     return 0;

@@ -16,14 +16,17 @@
  *   --metrics-json F   write a jrs-metrics-v1 registry snapshot
  *   --trace-json F     write Chrome trace-event JSON of the sweep
  *                      (worker lanes; open in Perfetto)
- *   --perf-json F      write a jrs-perf-report-v1 attribution report:
- *                      every trace group's replay is also observed by
- *                      a perf-attribution pipeline (per-method CPI
- *                      stacks, miss/mispredict profiles), without
- *                      perturbing the sweep's own metrics
+ *   --perf-json F      write a jrs-perf-report-v1 attribution report
+ *                      (per-method CPI stacks, miss/mispredict
+ *                      profiles) per trace group
+ *   --cct-json F       write a jrs-cct-v1 calling-context tree per
+ *   --flame F          trace group, and/or its folded stacks
  *   --sample-json F    write a jrs-sample-v1 sampled profile per trace
  *                      group (--sample-period/--sample-seed select the
- *                      sampling knobs), same no-perturbation guarantee
+ *                      sampling knobs)
+ *                      Every profiler asked for rides one pipeline fed
+ *                      by the group's replay, without perturbing the
+ *                      sweep's own metrics.
  *   --collector C      run every recording under collector C (nogc,
  *                      marksweep, copying); changes stream identity,
  *                      so cached GC-less recordings are not reused
@@ -54,9 +57,7 @@
 #include "obs/obs.h"
 #include "support/statistics.h"
 #include "sweep/grids.h"
-#include "sweep/cct_observer.h"
-#include "sweep/perf_observer.h"
-#include "sweep/sample_observer.h"
+#include "sweep/observers.h"
 
 using namespace jrs;
 
@@ -142,16 +143,8 @@ main(int argc, char **argv)
     cli.setup();
     if (progress)
         obs::setEnabled(true);
-    obs::PerfReportSet perfReports;
-    if (cli.perfRequested())
-        sweep::attachPerfObserver(opts, perfReports);
-    prof::CctReportSet cctReports;
-    if (cli.cctRequested())
-        sweep::attachCctObserver(opts, cctReports);
-    prof::SampleReportSet sampleReports;
-    if (cli.sampleRequested())
-        sweep::attachSampleObserver(opts, cli.sampleOptions(),
-                                    sampleReports);
+    obs::ObsReports reports;
+    sweep::attachObservers(opts, cli, reports);
     if (progress) {
         // The counts come straight from the registry the sweep engine
         // publishes into (the same numbers --metrics-json snapshots).
@@ -267,8 +260,6 @@ main(int argc, char **argv)
         std::cout << "wrote " << jsonPath << '\n';
     }
     cli.finish(std::cout);
-    cli.writePerf(perfReports, std::cout);
-    cli.writeCct(cctReports, std::cout);
-    cli.writeSample(sampleReports, std::cout);
+    cli.writeReports(reports, std::cout);
     return result.allOk() && comparisonOk ? 0 : 1;
 }

@@ -16,40 +16,19 @@ PredictorBank::onEvent(const TraceEvent &ev)
 {
     if (ev.kind == NKind::Branch) {
         ++condBranches_;
-        bool referenceWrong = false;
         for (std::size_t i = 0; i < preds_.size(); ++i) {
-            const bool wrong = preds_[i]->predict(ev.pc) != ev.taken;
-            if (wrong)
+            if (preds_[i]->predict(ev.pc) != ev.taken)
                 ++mispredicts_[i];
-            if (i + 1 == preds_.size())
-                referenceWrong = wrong;
             preds_[i]->update(ev.pc, ev.taken);
-        }
-        if (listener_ != nullptr) {
-            Outcome o;
-            o.pc = ev.pc;
-            o.kind = PerfKind::CondBranch;
-            o.phase = ev.phase;
-            o.bad = referenceWrong;
-            listener_->onOutcome(o);
         }
         return;
     }
     if (ev.kind == NKind::IndirectJump
         || ev.kind == NKind::IndirectCall) {
         ++indirects_;
-        const bool wrong = btb_.predict(ev.pc) != ev.target;
-        if (wrong)
+        if (btb_.predict(ev.pc) != ev.target)
             ++btbMisses_;
         btb_.update(ev.pc, ev.target);
-        if (listener_ != nullptr) {
-            Outcome o;
-            o.pc = ev.pc;
-            o.kind = PerfKind::IndirectTarget;
-            o.phase = ev.phase;
-            o.bad = wrong;
-            listener_->onOutcome(o);
-        }
     }
 }
 

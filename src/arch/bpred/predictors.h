@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "arch/bpred/btb.h"
-#include "arch/outcome.h"
 #include "isa/trace.h"
 
 namespace jrs {
@@ -197,17 +196,6 @@ class PredictorBank : public TraceSink {
     std::uint64_t indirects() const { return indirects_; }
     std::uint64_t btbMisses() const { return btbMisses_; }
 
-    /**
-     * Report every predicted transfer as an Outcome: CondBranch
-     * outcomes use the bank's most sophisticated scheme (two_level_pc,
-     * the paper's best Table 2 predictor) as the reference;
-     * IndirectTarget outcomes come from the shared BTB. Null detaches;
-     * zero-cost when unset.
-     */
-    void setListener(OutcomeListener *listener) {
-        listener_ = listener;
-    }
-
   private:
     std::vector<std::unique_ptr<BranchPredictor>> preds_;
     std::vector<std::uint64_t> mispredicts_;
@@ -215,7 +203,6 @@ class PredictorBank : public TraceSink {
     Btb btb_;
     std::uint64_t indirects_ = 0;
     std::uint64_t btbMisses_ = 0;
-    OutcomeListener *listener_ = nullptr;
 };
 
 } // namespace jrs

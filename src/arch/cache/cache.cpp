@@ -41,21 +41,6 @@ Cache::Cache(CacheConfig cfg)
 bool
 Cache::access(std::uint64_t addr, bool is_write, Phase phase)
 {
-    const bool hit = lookup(addr, is_write, phase);
-    if (listener_ != nullptr) {
-        Outcome o;
-        o.pc = addr;
-        o.kind = is_write ? writeKind_ : readKind_;
-        o.phase = phase;
-        o.bad = !hit;
-        listener_->onOutcome(o);
-    }
-    return hit;
-}
-
-bool
-Cache::lookup(std::uint64_t addr, bool is_write, Phase phase)
-{
     const std::uint64_t line = addr >> lineShift_;
     const std::uint64_t tag = line | 0x8000'0000'0000'0000ull;  // valid
     auto &set = sets_[static_cast<std::size_t>(line) & setMask_];

@@ -7,7 +7,8 @@
  * total and split by execution phase so the translate-vs-rest analyses
  * of Figures 3 and 5 fall out directly. CacheSink adapts the trace
  * stream to a split L1: every event's pc touches the I-cache, loads and
- * stores touch the D-cache.
+ * stores touch the D-cache; its observers (arch/outcome.h) see each
+ * access as an Outcome.
  */
 #ifndef JRS_ARCH_CACHE_CACHE_H
 #define JRS_ARCH_CACHE_CACHE_H
@@ -82,25 +83,7 @@ class Cache {
 
     void resetStats();
 
-    /**
-     * Report every access() as an Outcome to @p listener (null
-     * detaches). @p readKind / @p writeKind label read and write
-     * accesses — an I-cache reports ICacheFetch for both, a D-cache
-     * DCacheLoad / DCacheStore. Outcome::pc carries the accessed
-     * address; the penalty is 0 (a bare cache charges no cycles).
-     * Zero-cost when unset: one null test per access.
-     */
-    void setListener(OutcomeListener *listener,
-                     PerfKind readKind = PerfKind::ICacheFetch,
-                     PerfKind writeKind = PerfKind::ICacheFetch) {
-        listener_ = listener;
-        readKind_ = readKind;
-        writeKind_ = writeKind;
-    }
-
   private:
-    bool lookup(std::uint64_t addr, bool is_write, Phase phase);
-
     CacheConfig cfg_;
     std::uint32_t lineShift_;
     std::uint32_t setMask_;
@@ -108,9 +91,6 @@ class Cache {
     std::vector<std::vector<std::uint64_t>> sets_;
     CacheStats total_;
     CacheStats perPhase_[kNumPhases];
-    OutcomeListener *listener_ = nullptr;
-    PerfKind readKind_ = PerfKind::ICacheFetch;
-    PerfKind writeKind_ = PerfKind::ICacheFetch;
 };
 
 /** Split L1 fed from the trace stream. */
@@ -119,30 +99,39 @@ class CacheSink : public TraceSink {
     CacheSink(CacheConfig icfg, CacheConfig dcfg)
         : icache_(icfg), dcache_(dcfg) {}
 
+    /**
+     * Observers see each event first, then one Outcome per access:
+     * Outcome::pc is the accessed address and the penalty is 0 (a
+     * bare cache charges no cycles).
+     */
     void onEvent(const TraceEvent &ev) override {
-        icache_.access(ev.pc, false, ev.phase);
-        if (ev.kind == NKind::Load)
-            dcache_.access(ev.mem, false, ev.phase);
-        else if (ev.kind == NKind::Store)
-            dcache_.access(ev.mem, true, ev.phase);
+        observers_.event(ev);
+        const bool ihit = icache_.access(ev.pc, false, ev.phase);
+        observers_.report(ev.pc, PerfKind::ICacheFetch, ev.phase, !ihit);
+        if (ev.kind == NKind::Load) {
+            const bool hit = dcache_.access(ev.mem, false, ev.phase);
+            observers_.report(ev.mem, PerfKind::DCacheLoad, ev.phase,
+                              !hit);
+        } else if (ev.kind == NKind::Store) {
+            const bool hit = dcache_.access(ev.mem, true, ev.phase);
+            observers_.report(ev.mem, PerfKind::DCacheStore, ev.phase,
+                              !hit);
+        }
     }
+    void onFinish() override { observers_.finish(); }
 
     Cache &icache() { return icache_; }
     Cache &dcache() { return dcache_; }
     const Cache &icache() const { return icache_; }
     const Cache &dcache() const { return dcache_; }
 
-    /** Wire both caches' outcome streams to @p listener. */
-    void setListener(OutcomeListener *listener) {
-        icache_.setListener(listener, PerfKind::ICacheFetch,
-                            PerfKind::ICacheFetch);
-        dcache_.setListener(listener, PerfKind::DCacheLoad,
-                            PerfKind::DCacheStore);
-    }
+    /** Feed @p o as PipelineSim::observe does (cache outcomes only). */
+    void observe(StreamObserver &o) { observers_.add(o); }
 
   private:
     Cache icache_;
     Cache dcache_;
+    ObserverList observers_;
 };
 
 } // namespace jrs

@@ -6,10 +6,14 @@
  * expose end-of-run totals; this header adds the event layer that lets
  * an observer see *each* hit/miss and predict/mispredict as it
  * happens, carrying the simulated pc so the outcome can be joined with
- * the VM's symbol maps (obs/perf.h). Models hold a raw
- * `OutcomeListener *` that is null by default: the unset cost is one
- * pointer test per modelled access, and no listener state exists until
- * a profiler installs one, so plain runs are unchanged bit-for-bit.
+ * the VM's symbol maps (obs/perf.h). A profiler is a StreamObserver:
+ * PipelineSim and CacheSink each keep a list of them (observe()), hand
+ * every TraceEvent to all of them before modelling it, and send every
+ * outcome, CPI sample and onFinish to all of them. One model therefore
+ * feeds any number of profilers in one pass. The list is empty by
+ * default: the unobserved cost is one emptiness test per modelled
+ * access, and the observers never touch timing, so plain runs are
+ * unchanged bit-for-bit.
  *
  * The pipeline model additionally decomposes every retired
  * instruction's commit-cycle delta into a CPI stack (CpiSample). The
@@ -20,6 +24,7 @@
 #define JRS_ARCH_OUTCOME_H
 
 #include <cstdint>
+#include <vector>
 
 #include "isa/trace.h"
 
@@ -112,6 +117,48 @@ class OutcomeListener {
 
     /** One retired instruction's CPI decomposition (pipeline only). */
     virtual void onRetire(const CpiSample &) {}
+};
+
+/**
+ * A profiler riding a model: it sees each TraceEvent before the model
+ * does, so the outcomes the model then reports land in that event's
+ * context (method, opcode, calling context, window).
+ */
+class StreamObserver : public TraceSink, public OutcomeListener {};
+
+/**
+ * The observers one model feeds, in attach order. Each hook is a
+ * no-op on an empty list; report() builds its Outcome only when
+ * someone listens.
+ */
+class ObserverList {
+  public:
+    void add(StreamObserver &o) { list_.push_back(&o); }
+    bool empty() const { return list_.empty(); }
+
+    void event(const TraceEvent &ev) const {
+        for (StreamObserver *o : list_)
+            o->onEvent(ev);
+    }
+    void report(std::uint64_t pc, PerfKind kind, Phase phase, bool bad,
+                std::uint32_t penalty = 0) const {
+        if (list_.empty())
+            return;
+        const Outcome out{pc, kind, phase, bad, penalty};
+        for (StreamObserver *o : list_)
+            o->onOutcome(out);
+    }
+    void retire(const CpiSample &s) const {
+        for (StreamObserver *o : list_)
+            o->onRetire(s);
+    }
+    void finish() const {
+        for (StreamObserver *o : list_)
+            o->onFinish();
+    }
+
+  private:
+    std::vector<StreamObserver *> list_;
 };
 
 } // namespace jrs

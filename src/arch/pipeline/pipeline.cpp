@@ -29,6 +29,7 @@ PipelineSim::latencyOf(NKind kind)
 void
 PipelineSim::onEvent(const TraceEvent &ev)
 {
+    observers_.event(ev);
     ++insts_;
     const std::uint64_t prevCommit = lastCommit_;
 
@@ -52,15 +53,8 @@ PipelineSim::onEvent(const TraceEvent &ev)
     const std::uint64_t fetch = fetchCycle_;
     ++fetchedThisCycle_;
 
-    if (listener_ != nullptr) {
-        Outcome o;
-        o.pc = ev.pc;
-        o.kind = PerfKind::ICacheFetch;
-        o.phase = ev.phase;
-        o.bad = imiss;
-        o.penalty = imiss ? cfg_.icacheMissPenalty : 0;
-        listener_->onOutcome(o);
-    }
+    observers_.report(ev.pc, PerfKind::ICacheFetch, ev.phase, imiss,
+                      imiss ? cfg_.icacheMissPenalty : 0);
 
     // ---------------------------------------------------------- dispatch
     const std::uint64_t dispatch = fetch + cfg_.frontendDepth;
@@ -105,15 +99,8 @@ PipelineSim::onEvent(const TraceEvent &ev)
             mshrHead_ = (mshrHead_ + 1) % mshr_.size();
             dcacheBudget = cfg_.dcacheMissPenalty + mshrWait;
         }
-        if (listener_ != nullptr) {
-            Outcome o;
-            o.pc = ev.pc;
-            o.kind = PerfKind::DCacheLoad;
-            o.phase = ev.phase;
-            o.bad = dmiss;
-            o.penalty = dcacheBudget;
-            listener_->onOutcome(o);
-        }
+        observers_.report(ev.pc, PerfKind::DCacheLoad, ev.phase, dmiss,
+                          static_cast<std::uint32_t>(dcacheBudget));
     } else if (ev.kind == NKind::Store) {
         const bool dmiss = !dcache_.access(ev.mem, true, ev.phase);
         if (dmiss) {
@@ -124,14 +111,7 @@ PipelineSim::onEvent(const TraceEvent &ev)
                 + cfg_.dcacheMissPenalty;
             mshrHead_ = (mshrHead_ + 1) % mshr_.size();
         }
-        if (listener_ != nullptr) {
-            Outcome o;
-            o.pc = ev.pc;
-            o.kind = PerfKind::DCacheStore;
-            o.phase = ev.phase;
-            o.bad = dmiss;
-            listener_->onOutcome(o);
-        }
+        observers_.report(ev.pc, PerfKind::DCacheStore, ev.phase, dmiss);
     }
     const std::uint64_t done = ready + latency;
 
@@ -162,15 +142,8 @@ PipelineSim::onEvent(const TraceEvent &ev)
         }
         // Correctly predicted taken branches fetch through: the BTB
         // steers the front end with no bubble.
-        if (listener_ != nullptr) {
-            Outcome o;
-            o.pc = ev.pc;
-            o.kind = PerfKind::CondBranch;
-            o.phase = ev.phase;
-            o.bad = wrong;
-            o.penalty = wrong ? cfg_.mispredictPenalty : 0;
-            listener_->onOutcome(o);
-        }
+        observers_.report(ev.pc, PerfKind::CondBranch, ev.phase, wrong,
+                          wrong ? cfg_.mispredictPenalty : 0);
     } else if (ev.kind == NKind::IndirectJump
                || ev.kind == NKind::IndirectCall) {
         ++indirects_;
@@ -187,15 +160,8 @@ PipelineSim::onEvent(const TraceEvent &ev)
             pendingRedirectBudget_ =
                 cfg_.mispredictPenalty + cfg_.frontendDepth;
         }
-        if (listener_ != nullptr) {
-            Outcome o;
-            o.pc = ev.pc;
-            o.kind = PerfKind::IndirectTarget;
-            o.phase = ev.phase;
-            o.bad = wrong;
-            o.penalty = wrong ? cfg_.mispredictPenalty : 0;
-            listener_->onOutcome(o);
-        }
+        observers_.report(ev.pc, PerfKind::IndirectTarget, ev.phase,
+                          wrong, wrong ? cfg_.mispredictPenalty : 0);
     }
     // Direct jumps/calls/returns and predicted-taken branches are
     // steered by the BTB without a fetch bubble.
@@ -216,7 +182,7 @@ PipelineSim::onEvent(const TraceEvent &ev)
     rob_[robHead_] = commit;
     robHead_ = (robHead_ + 1) % rob_.size();
 
-    if (listener_ != nullptr) {
+    if (!observers_.empty()) {
         // Interval-style CPI stack: split this instruction's commit
         // delta across the stalls it suffered, front end first, each
         // capped at its modelled budget; the residue is base work.
@@ -238,7 +204,7 @@ PipelineSim::onEvent(const TraceEvent &ev)
              robWait + depWait + (latencyBase - 1));
         s.cycles[static_cast<std::size_t>(CpiComponent::Base)] +=
             remaining;
-        listener_->onRetire(s);
+        observers_.retire(s);
     }
 }
 

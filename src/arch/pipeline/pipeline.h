@@ -16,17 +16,17 @@
  * indirect jump mispredicts its target almost always, serializing
  * fetch once per bytecode and capping wide-issue scaling.
  *
- * An optional OutcomeListener (arch/outcome.h) observes every I-/D-
- * cache access and every direction/target prediction with the cycle
- * penalty charged, and receives a CpiSample per retired instruction
- * decomposing its commit-cycle delta into base / I-cache / D-cache /
- * branch-mispredict / indirect-target / backend components. The
- * decomposition is interval-style: the delta is assigned to the
- * stall causes this instruction actually suffered, front end first,
- * each capped at its modelled budget, with the residue counted as
- * base cycles — so samples always sum exactly to cycles() and the
- * timing computation itself is untouched (bit-identical with or
- * without a listener).
+ * Observers (arch/outcome.h, attached with observe()) see every
+ * event before it is modelled, every I-/D-cache access and every
+ * direction/target prediction with the cycle penalty charged, and a
+ * CpiSample per retired instruction decomposing its commit-cycle
+ * delta into base / I-cache / D-cache / branch-mispredict /
+ * indirect-target / backend components. The decomposition is
+ * interval-style: the delta is assigned to the stall causes this
+ * instruction actually suffered, front end first, each capped at its
+ * modelled budget, with the residue counted as base cycles — so
+ * samples always sum exactly to cycles() and the timing computation
+ * itself is untouched (bit-identical with or without observers).
  */
 #ifndef JRS_ARCH_PIPELINE_PIPELINE_H
 #define JRS_ARCH_PIPELINE_PIPELINE_H
@@ -61,6 +61,7 @@ class PipelineSim : public TraceSink {
     explicit PipelineSim(PipelineConfig cfg);
 
     void onEvent(const TraceEvent &ev) override;
+    void onFinish() override { observers_.finish(); }
 
     /** Instructions retired. */
     std::uint64_t instructions() const { return insts_; }
@@ -94,12 +95,11 @@ class PipelineSim : public TraceSink {
     const Cache &dcache() const { return dcache_; }
 
     /**
-     * Observe per-access outcomes and per-retire CPI samples (null
-     * detaches). Zero-cost when unset; never affects timing.
+     * Feed @p o every event, per-access outcome and per-retire CPI
+     * sample, after any observers attached earlier. @p o must outlive
+     * the replay. Never affects timing.
      */
-    void setListener(OutcomeListener *listener) {
-        listener_ = listener;
-    }
+    void observe(StreamObserver &o) { observers_.add(o); }
 
     const PipelineConfig &config() const { return cfg_; }
 
@@ -119,7 +119,7 @@ class PipelineSim : public TraceSink {
     std::uint64_t indirects_ = 0;
     std::uint64_t indirectMispredicts_ = 0;
 
-    OutcomeListener *listener_ = nullptr;
+    ObserverList observers_;
     /** Refill bubble owed to the previous mispredicted transfer. */
     CpiComponent pendingRedirect_ = CpiComponent::Base;
     std::uint32_t pendingRedirectBudget_ = 0;

@@ -1,6 +1,7 @@
 #include "isa/trace_buffer.h"
 
 #include <cstdio>
+#include <string>
 
 #include "vm/runtime/vm_error.h"
 
@@ -121,12 +122,17 @@ TraceBuffer::load(const std::string &path)
     for (;;) {
         const std::size_t got = std::fread(
             stage.get(), 1, kStageEvents * kTraceRecordBytes, f);
-        // Partial records at EOF are discarded, as in replayTraceFile.
         const std::size_t n = got / kTraceRecordBytes;
         for (std::size_t i = 0; i < n; ++i) {
             *buf.slotFor(buf.count_) = decodeTraceRecord(
                 stage.get() + i * kTraceRecordBytes);
             ++buf.count_;
+        }
+        if (got % kTraceRecordBytes != 0) {
+            std::fclose(f);
+            throw VmError("cannot load " + path
+                          + ": truncated trace record after "
+                          + std::to_string(buf.count_) + " events");
         }
         if (got < kStageEvents * kTraceRecordBytes)
             break;

@@ -70,7 +70,8 @@ class TraceBuffer : public TraceSink {
 
     /**
      * Read a JRSTRACE file recorded by save() (or TraceFileWriter).
-     * Throws VmError on missing file, bad magic, or version mismatch.
+     * Throws VmError on missing file, bad magic, version mismatch, or
+     * a partial trailing record (a truncated file).
      */
     static TraceBuffer load(const std::string &path);
 

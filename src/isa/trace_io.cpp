@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cstring>
+#include <string>
 
 #include "vm/runtime/vm_error.h"
 
@@ -146,12 +147,18 @@ replayTraceFile(const std::string &path, TraceSink &sink)
 
     std::uint64_t events = 0;
     std::uint8_t rec[kTraceRecordBytes];
-    while (std::fread(rec, 1, kTraceRecordBytes, f)
+    std::size_t got;
+    while ((got = std::fread(rec, 1, kTraceRecordBytes, f))
            == kTraceRecordBytes) {
         sink.onEvent(decodeTraceRecord(rec));
         ++events;
     }
     std::fclose(f);
+    if (got != 0) {
+        throw VmError("cannot replay " + path
+                      + ": truncated trace record after "
+                      + std::to_string(events) + " events");
+    }
     sink.onFinish();
     return events;
 }

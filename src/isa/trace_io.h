@@ -80,7 +80,9 @@ class TraceFileWriter : public TraceSink {
 /**
  * Replay a trace file into @p sink (calling onFinish at EOF).
  * @return the number of events replayed. Throws VmError on a missing
- * file, bad magic, or version mismatch.
+ * file, bad magic, version mismatch, or a partial trailing record (a
+ * truncated file; the whole records before it have been delivered,
+ * onFinish has not).
  */
 std::uint64_t replayTraceFile(const std::string &path, TraceSink &sink);
 

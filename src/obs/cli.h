@@ -22,14 +22,17 @@
  *       continue;
  *
  * then cli.setup() before running, and cli.finish(std::cout) (plus
- * cli.writePerf(...) when the tool filled a PerfReportSet) on every
- * exit path after the run started.
+ * cli.writeReports(...) when the tool filled an ObsReports) on every
+ * exit path after the run started. cli.observers(map) builds the
+ * profilers the flags selected; attach them all to one PipelineSim
+ * and a single replay feeds every report.
  */
 #ifndef JRS_OBS_CLI_H
 #define JRS_OBS_CLI_H
 
 #include <cstdlib>
 #include <iostream>
+#include <memory>
 #include <ostream>
 #include <string>
 
@@ -42,6 +45,66 @@
 #include "vm/runtime/heap.h"
 
 namespace jrs::obs {
+
+/** One report set per profiler; sweeps fill them group by group. */
+struct ObsReports {
+    PerfReportSet perf;
+    prof::CctReportSet cct;
+    prof::SampleReportSet sample;
+};
+
+/**
+ * The profilers one replay feeds (null = not requested). Attach them
+ * to one PipelineSim, replay once, then snapshot them with addTo().
+ */
+struct Observers {
+    std::unique_ptr<PerfAttribution> perf;
+    std::unique_ptr<prof::CctBuilder> cct;
+    std::unique_ptr<prof::SamplingProfiler> sampler;
+
+    /** Attach every present profiler to @p pipe, in member order. */
+    void attachTo(PipelineSim &pipe) const {
+        if (perf != nullptr)
+            pipe.observe(*perf);
+        if (cct != nullptr)
+            pipe.observe(*cct);
+        if (sampler != nullptr)
+            pipe.observe(*sampler);
+    }
+
+    /** Snapshot every present profiler into @p r under @p label. */
+    void addTo(ObsReports &r, const std::string &label) const {
+        if (perf != nullptr)
+            r.perf.add(label, *perf);
+        if (cct != nullptr)
+            r.cct.add(label, *cct);
+        if (sampler != nullptr)
+            r.sample.add(label, *sampler);
+    }
+
+    /**
+     * Conservation against the pipeline they rode: perf totals, CCT
+     * cycles and the sampler's cycle clock must each equal @p cycles.
+     * Prints every mismatch to @p err; true when all hold.
+     */
+    bool conserves(std::uint64_t cycles, std::ostream &err) const {
+        bool ok = true;
+        const auto expect = [&](const char *what, std::uint64_t got) {
+            if (got == cycles)
+                return;
+            err << "conservation mismatch: " << what << " = " << got
+                << ", pipeline reports " << cycles << " cycles\n";
+            ok = false;
+        };
+        if (perf != nullptr)
+            expect("perf cycles", perf->totals().cycles());
+        if (cct != nullptr)
+            expect("cct cycles", cct->totalCycles());
+        if (sampler != nullptr)
+            expect("sampler clock", sampler->clockTotal());
+        return ok;
+    }
+};
 
 /** See file comment. */
 struct ObsCli {
@@ -147,6 +210,23 @@ struct ObsCli {
     }
 
     /**
+     * The profilers the flags selected, reading @p map (which must
+     * outlive them); @p popt configures the perf pass.
+     */
+    Observers observers(const MethodMap &map,
+                        PerfOptions popt = {}) const {
+        Observers o;
+        if (perfRequested())
+            o.perf = std::make_unique<PerfAttribution>(map, popt);
+        if (cctRequested())
+            o.cct = std::make_unique<prof::CctBuilder>(map);
+        if (sampleRequested())
+            o.sampler = std::make_unique<prof::SamplingProfiler>(
+                map, sampleOptions());
+        return o;
+    }
+
+    /**
      * Enable jrs::obs when registry or tracer output was requested.
      * (--perf-json alone does not need the global toggle: attribution
      * sinks collect unconditionally once attached.)
@@ -200,6 +280,13 @@ struct ObsCli {
             return;
         set.writeJson(sampleJson);
         out << "wrote " << sampleJson << '\n';
+    }
+
+    /** writePerf, writeCct and writeSample, in that order. */
+    void writeReports(const ObsReports &r, std::ostream &out) const {
+        writePerf(r.perf, out);
+        writeCct(r.cct, out);
+        writeSample(r.sample, out);
     }
 };
 

@@ -5,10 +5,9 @@
  *
  * The architecture models report aggregate numbers; obs/attribution.h
  * says which *method* each instruction belonged to. This pass joins
- * the two: a PerfAttribution subscribes to a model's OutcomeListener
- * stream (arch/outcome.h) while also observing the TraceEvent stream,
- * and folds every cache hit/miss, branch/indirect prediction and
- * retired-instruction CPI sample into
+ * the two: a PerfAttribution is a StreamObserver (arch/outcome.h)
+ * riding one model, and folds every cache hit/miss, branch/indirect
+ * prediction and retired-instruction CPI sample into
  *
  *  - per-method tables (method rows from a MethodMap, plus the
  *    "(unattributed)" bucket),
@@ -23,10 +22,10 @@
  * Ordering contract: the attribution must observe each TraceEvent
  * *before* the model processes it, so the outcomes the model fires
  * mid-access land in the context (method, opcode, window) of that
- * event. The AttributedPipeline / AttributedCaches composites wire
- * this up; use them rather than a plain MultiSink (whose delivery
- * order would also work front-to-back, but the composites also own
- * the listener hookup).
+ * event. Attaching it with PipelineSim::observe or CacheSink::observe
+ * gives that order, and other profilers may ride the same model
+ * alongside it. AttributedPipeline / AttributedCaches are that
+ * wiring with one observer and a shared MethodMap.
  *
  * Conservation (tested in tests/test_perf.cpp): per-method access
  * counts sum to the model's aggregate stats bit-for-bit, and
@@ -114,18 +113,18 @@ struct PerfOptions {
 };
 
 /** See file comment. */
-class PerfAttribution : public TraceSink, public OutcomeListener {
+class PerfAttribution : public StreamObserver {
   public:
     using Options = PerfOptions;
 
     /** @p map must outlive the sink. */
     explicit PerfAttribution(const MethodMap &map, Options opt = {});
 
-    // --- TraceSink (subscribe *before* the model; see file comment)
+    // --- TraceSink (sees each event before the model; file comment)
     void onEvent(const TraceEvent &ev) override;
     void onFinish() override;
 
-    // --- OutcomeListener (wired to the model)
+    // --- OutcomeListener (fed by the model it observes)
     void onOutcome(const Outcome &o) override;
     void onRetire(const CpiSample &s) override;
 
@@ -239,63 +238,47 @@ class PerfAttribution : public TraceSink, public OutcomeListener {
 };
 
 /**
- * Self-contained sweep/bench sink: a PipelineSim observed by a
- * PerfAttribution, with the ordering contract wired up. The MethodMap
- * is shared so the composite can outlive the run that built it
- * (sweep replay).
+ * A PipelineSim observed by a PerfAttribution, owning the shared
+ * MethodMap so it can outlive the run that built it (sweep replay).
  */
-class AttributedPipeline : public TraceSink {
+class AttributedPipeline : public PipelineSim {
   public:
     AttributedPipeline(PipelineConfig cfg,
                        std::shared_ptr<const MethodMap> map,
                        PerfAttribution::Options opt = {})
-        : map_(std::move(map)), pipe_(cfg), perf_(*map_, opt)
+        : PipelineSim(cfg), map_(std::move(map)), perf_(*map_, opt)
     {
-        pipe_.setListener(&perf_);
+        observe(perf_);
     }
 
-    void onEvent(const TraceEvent &ev) override {
-        perf_.onEvent(ev);
-        pipe_.onEvent(ev);
-    }
-    void onFinish() override { perf_.onFinish(); }
-
-    PipelineSim &pipeline() { return pipe_; }
-    const PipelineSim &pipeline() const { return pipe_; }
+    PipelineSim &pipeline() { return *this; }
+    const PipelineSim &pipeline() const { return *this; }
     PerfAttribution &perf() { return perf_; }
     const PerfAttribution &perf() const { return perf_; }
 
   private:
     std::shared_ptr<const MethodMap> map_;
-    PipelineSim pipe_;
     PerfAttribution perf_;
 };
 
 /** As AttributedPipeline, for a bare split L1 (no pipeline model). */
-class AttributedCaches : public TraceSink {
+class AttributedCaches : public CacheSink {
   public:
     AttributedCaches(CacheConfig icfg, CacheConfig dcfg,
                      std::shared_ptr<const MethodMap> map,
                      PerfAttribution::Options opt = {})
-        : map_(std::move(map)), caches_(icfg, dcfg), perf_(*map_, opt)
+        : CacheSink(icfg, dcfg), map_(std::move(map)), perf_(*map_, opt)
     {
-        caches_.setListener(&perf_);
+        observe(perf_);
     }
 
-    void onEvent(const TraceEvent &ev) override {
-        perf_.onEvent(ev);
-        caches_.onEvent(ev);
-    }
-    void onFinish() override { perf_.onFinish(); }
-
-    CacheSink &caches() { return caches_; }
-    const CacheSink &caches() const { return caches_; }
+    CacheSink &caches() { return *this; }
+    const CacheSink &caches() const { return *this; }
     PerfAttribution &perf() { return perf_; }
     const PerfAttribution &perf() const { return perf_; }
 
   private:
     std::shared_ptr<const MethodMap> map_;
-    CacheSink caches_;
     PerfAttribution perf_;
 };
 

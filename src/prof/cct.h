@@ -101,7 +101,7 @@ struct FoldedLine {
 const char *foldedPhaseSuffix(std::size_t p);
 
 /** See file comment. */
-class CctBuilder : public TraceSink, public OutcomeListener {
+class CctBuilder : public StreamObserver {
   public:
     using Options = CctOptions;
 
@@ -112,7 +112,7 @@ class CctBuilder : public TraceSink, public OutcomeListener {
     void onEvent(const TraceEvent &ev) override;
     void onFinish() override {}
 
-    // --- OutcomeListener (wired to the pipeline model)
+    // --- OutcomeListener (fed by the pipeline model it observes)
     void onRetire(const CpiSample &s) override;
 
     /** All nodes; index 0 is the root. Parent/kids index into this. */
@@ -156,8 +156,8 @@ class CctBuilder : public TraceSink, public OutcomeListener {
 
     /**
      * Folded-stack lines, one per node x non-empty phase, leaf frame
-     * suffixed with the phase. Values are self cycles when a pipeline
-     * listener fed the builder, self events otherwise (cache-only
+     * suffixed with the phase. Values are self cycles when the builder
+     * observed a pipeline, self events otherwise (cache-only
      * replays). Deterministic order (DFS, children sorted by name).
      */
     std::vector<FoldedLine> foldedLines() const;
@@ -186,36 +186,27 @@ class CctBuilder : public TraceSink, public OutcomeListener {
 };
 
 /**
- * Self-contained sweep/bench sink: a PipelineSim observed by a
- * CctBuilder, with the subscribe-before-model ordering and the
- * listener hookup wired (the AttributedPipeline pattern). The
- * MethodMap is shared so the composite can outlive the run that
- * built it (sweep replay).
+ * A PipelineSim observed by a CctBuilder, owning the shared MethodMap
+ * so it can outlive the run that built it (the AttributedPipeline
+ * pattern).
  */
-class CctPipeline : public TraceSink {
+class CctPipeline : public PipelineSim {
   public:
     CctPipeline(PipelineConfig cfg,
                 std::shared_ptr<const obs::MethodMap> map,
                 CctOptions opt = {})
-        : map_(std::move(map)), pipe_(cfg), cct_(*map_, opt)
+        : PipelineSim(cfg), map_(std::move(map)), cct_(*map_, opt)
     {
-        pipe_.setListener(&cct_);
+        observe(cct_);
     }
 
-    void onEvent(const TraceEvent &ev) override {
-        cct_.onEvent(ev);
-        pipe_.onEvent(ev);
-    }
-    void onFinish() override { cct_.onFinish(); }
-
-    PipelineSim &pipeline() { return pipe_; }
-    const PipelineSim &pipeline() const { return pipe_; }
+    PipelineSim &pipeline() { return *this; }
+    const PipelineSim &pipeline() const { return *this; }
     CctBuilder &cct() { return cct_; }
     const CctBuilder &cct() const { return cct_; }
 
   private:
     std::shared_ptr<const obs::MethodMap> map_;
-    PipelineSim pipe_;
     CctBuilder cct_;
 };
 

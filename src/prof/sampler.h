@@ -18,8 +18,9 @@
  * gaps uniform in [period/2, period/2 + period) — jitter breaks
  * lockstep with loop periodicity, the fixed seed keeps every run
  * bit-reproducible. The sampling clock advances in simulated cycles
- * when the profiler is wired to a pipeline model (SamplePipeline;
- * one CpiSample per retired instruction) and in events otherwise.
+ * when the profiler observes a pipeline model (PipelineSim::observe,
+ * as SamplePipeline does; one CpiSample per retired instruction) and
+ * in events otherwise.
  * When the clock crosses a threshold the current stack is interned
  * into a sampled CCT and the sample is tagged with the event's phase
  * and opcode kind. Samples attribute at the same point the exact
@@ -75,7 +76,7 @@ struct SampleOptions {
     std::size_t maxDepth = 1024;
     /**
      * When true the clock advances by each retired instruction's
-     * CpiSample cycles (requires wiring onRetire to the model —
+     * CpiSample cycles (requires observing a PipelineSim, as
      * SamplePipeline does); when false, by one per trace event.
      */
     bool cycleClock = false;
@@ -107,7 +108,7 @@ struct SampleNode {
 };
 
 /** See file comment. */
-class SamplingProfiler : public TraceSink, public OutcomeListener {
+class SamplingProfiler : public StreamObserver {
   public:
     using Options = SampleOptions;
 
@@ -119,7 +120,7 @@ class SamplingProfiler : public TraceSink, public OutcomeListener {
     void onEvent(const TraceEvent &ev) override;
     void onFinish() override {}
 
-    // --- OutcomeListener (wired by SamplePipeline; cycle clock only)
+    // --- OutcomeListener (fed by an observed pipeline; cycle clock)
     void onRetire(const CpiSample &s) override;
 
     /** All nodes; index 0 is the root. Parent/kids index into this. */
@@ -185,31 +186,23 @@ class SamplingProfiler : public TraceSink, public OutcomeListener {
 };
 
 /**
- * Self-contained sweep/bench sink: a PipelineSim observed by a
- * SamplingProfiler on the cycle clock, with the subscribe-before-
- * model ordering and the listener hookup wired (the CctPipeline
- * pattern). The MethodMap is shared so the composite can outlive the
- * run that built it (sweep replay).
+ * A PipelineSim observed by a SamplingProfiler on the cycle clock,
+ * owning the shared MethodMap so it can outlive the run that built it
+ * (the CctPipeline pattern).
  */
-class SamplePipeline : public TraceSink {
+class SamplePipeline : public PipelineSim {
   public:
     SamplePipeline(PipelineConfig cfg,
                    std::shared_ptr<const obs::MethodMap> map,
                    SampleOptions opt = {})
-        : map_(std::move(map)), pipe_(cfg),
+        : PipelineSim(cfg), map_(std::move(map)),
           sampler_(*map_, cycleClocked(opt))
     {
-        pipe_.setListener(&sampler_);
+        observe(sampler_);
     }
 
-    void onEvent(const TraceEvent &ev) override {
-        sampler_.onEvent(ev);
-        pipe_.onEvent(ev);
-    }
-    void onFinish() override { sampler_.onFinish(); }
-
-    PipelineSim &pipeline() { return pipe_; }
-    const PipelineSim &pipeline() const { return pipe_; }
+    PipelineSim &pipeline() { return *this; }
+    const PipelineSim &pipeline() const { return *this; }
     SamplingProfiler &sampler() { return sampler_; }
     const SamplingProfiler &sampler() const { return sampler_; }
 
@@ -220,7 +213,6 @@ class SamplePipeline : public TraceSink {
     }
 
     std::shared_ptr<const obs::MethodMap> map_;
-    PipelineSim pipe_;
     SamplingProfiler sampler_;
 };
 

@@ -1,15 +1,15 @@
 /**
  * @file
- * Composition of sweep group observers.
+ * The one way to attach profilers to a sweep.
  *
- * SweepOptions carries a single groupObserver/groupObserved hook
- * pair; tools that want several independent observers on the same
- * replay (e.g. --perf-json and --flame together) register each one
- * through addGroupObserver, which chains with whatever hook is
- * already installed by fanning the group's stream out to both sinks.
- * Each observer still receives its own sink instance in its own
- * observed callback, so the static_cast-to-concrete-type idiom of
- * perf_observer.h / cct_observer.h keeps working.
+ * attachObservers wires SweepOptions::groupObserver/groupObserved so
+ * that every trace group's replay also feeds one default-config
+ * PipelineSim carrying whichever of the perf, CCT and sampling
+ * profilers the ObsCli flags selected (obs/cli.h). Each group's
+ * reports land in an ObsReports keyed by the group's TraceKey. The
+ * pipeline rides the replay fan-out after every point sink, so the
+ * sweep's own metrics stay bit-identical with or without it
+ * (tests/test_perf.cpp asserts this).
  */
 #ifndef JRS_SWEEP_OBSERVERS_H
 #define JRS_SWEEP_OBSERVERS_H
@@ -17,70 +17,54 @@
 #include <memory>
 #include <utility>
 
+#include "arch/pipeline/pipeline.h"
+#include "obs/cli.h"
 #include "sweep/sweep.h"
 
 namespace jrs::sweep {
 
-/** Internal: fans a group's replay out to two chained observers. */
-class ObserverPair : public TraceSink {
+/** One trace group's observed pipeline; see attachObservers. */
+class GroupPipeline : public PipelineSim {
   public:
-    std::unique_ptr<TraceSink> a;  ///< earlier-registered (may be null)
-    std::unique_ptr<TraceSink> b;  ///< later-registered (may be null)
+    GroupPipeline(std::shared_ptr<const obs::MethodMap> map,
+                  const obs::ObsCli &cli)
+        : PipelineSim(PipelineConfig{}), map_(std::move(map)),
+          observers_(cli.observers(*map_))
+    {
+        observers_.attachTo(*this);
+    }
 
-    void onEvent(const TraceEvent &ev) override {
-        if (a != nullptr)
-            a->onEvent(ev);
-        if (b != nullptr)
-            b->onEvent(ev);
-    }
-    void onFinish() override {
-        if (a != nullptr)
-            a->onFinish();
-        if (b != nullptr)
-            b->onFinish();
-    }
+    const obs::Observers &observers() const { return observers_; }
+
+  private:
+    std::shared_ptr<const obs::MethodMap> map_;
+    obs::Observers observers_;
 };
 
 /**
- * Register one more group observer on @p opts, preserving any hooks
- * already installed. @p make may return null to skip a group; @p done
- * then is not called for it.
+ * See file comment. A no-op when @p cli selects no profiler. Groups
+ * whose recording carries no method map (disk recordings predating
+ * the .methods sidecar) are skipped. @p reports must outlive the
+ * sweep.
  */
 inline void
-addGroupObserver(
-    SweepOptions &opts,
-    std::function<std::unique_ptr<TraceSink>(const TraceKey &,
-                                             const RecordedRun &)>
-        make,
-    std::function<void(const TraceKey &, const RecordedRun &,
-                       TraceSink &)>
-        done)
+attachObservers(SweepOptions &opts, const obs::ObsCli &cli,
+                obs::ObsReports &reports)
 {
-    if (!opts.groupObserver) {
-        opts.groupObserver = std::move(make);
-        opts.groupObserved = std::move(done);
+    if (!cli.perfRequested() && !cli.cctRequested()
+        && !cli.sampleRequested())
         return;
-    }
-    auto prevMake = std::move(opts.groupObserver);
-    auto prevDone = std::move(opts.groupObserved);
-    opts.groupObserver = [prevMake, make](const TraceKey &key,
-                                          const RecordedRun &run)
+    opts.groupObserver = [cli](const TraceKey &, const RecordedRun &run)
         -> std::unique_ptr<TraceSink> {
-        auto pair = std::make_unique<ObserverPair>();
-        pair->a = prevMake(key, run);
-        pair->b = make(key, run);
-        if (pair->a == nullptr && pair->b == nullptr)
+        if (run.methods == nullptr)
             return nullptr;
-        return pair;
+        return std::make_unique<GroupPipeline>(run.methods, cli);
     };
-    opts.groupObserved = [prevDone, done](const TraceKey &key,
-                                          const RecordedRun &run,
-                                          TraceSink &sink) {
-        auto &pair = static_cast<ObserverPair &>(sink);
-        if (pair.a != nullptr && prevDone)
-            prevDone(key, run, *pair.a);
-        if (pair.b != nullptr && done)
-            done(key, run, *pair.b);
+    opts.groupObserved = [&reports](const TraceKey &key,
+                                    const RecordedRun &,
+                                    TraceSink &sink) {
+        static_cast<GroupPipeline &>(sink).observers().addTo(
+            reports, key.str());
     };
 }
 

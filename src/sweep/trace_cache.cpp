@@ -238,9 +238,14 @@ TraceCache::produce(const TraceKey &key, TraceSink *liveObserver,
             && std::filesystem::exists(base)) {
             obs::ScopedSpan span("trace.load", "sweep");
             span.arg("key", keyStr);
-            auto trace =
-                std::make_shared<TraceBuffer>(TraceBuffer::load(base));
-            if (trace->size() == meta.totalEvents) {
+            std::shared_ptr<TraceBuffer> trace;
+            try {
+                trace = std::make_shared<TraceBuffer>(
+                    TraceBuffer::load(base));
+            } catch (const VmError &) {
+                // Truncated mid-record or unreadable: re-record below.
+            }
+            if (trace != nullptr && trace->size() == meta.totalEvents) {
                 {
                     std::lock_guard<std::mutex> lock(mu_);
                     ++stats_.diskLoads;

@@ -373,6 +373,14 @@ struct InvariantCase {
     check::DiffMode mode;
 };
 
+// Without this, gtest prints the case as its raw bytes, and the pointer
+// in them moves with ASLR, so the ctest name changed on every build.
+void
+PrintTo(const InvariantCase &c, std::ostream *os)
+{
+    *os << c.workload << "/" << check::diffModeName(c.mode);
+}
+
 std::string
 invariantCaseName(const testing::TestParamInfo<InvariantCase> &info)
 {

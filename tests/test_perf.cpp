@@ -6,9 +6,11 @@
  *    PipelineSim::cycles(), and attributed access/miss/mispredict
  *    counts sum to the model's own aggregate statistics bit-for-bit
  *    (including the unattributed bucket), per workload and mode.
- *  - Non-perturbation: a model with a listener attached produces
- *    bit-identical timing to a bare one, and a sweep with a perf
- *    group observer produces bit-identical metrics.
+ *  - Non-perturbation: a model with observers attached produces
+ *    bit-identical timing to a bare one, and a sweep with every
+ *    group observer on produces bit-identical metrics.
+ *  - One pipeline feeding perf, CCT and sampler yields reports
+ *    byte-identical to each profiler's solo composite.
  *  - IntervalTimeline reproduces TimeSeriesCacheSink's windowed
  *    curves exactly (the Figure 6 port).
  *  - The trace cache's .methods sidecar round-trips MethodMaps to
@@ -28,8 +30,9 @@
 #include "arch/pipeline/pipeline.h"
 #include "harness/experiment.h"
 #include "isa/trace_buffer.h"
+#include "obs/cli.h"
 #include "obs/perf.h"
-#include "sweep/perf_observer.h"
+#include "sweep/observers.h"
 #include "sweep/sweep.h"
 #include "vm/engine/policy.h"
 #include "workloads/workload.h"
@@ -306,9 +309,13 @@ TEST(Perf, SweepGroupObserverKeepsMetricsBitIdentical)
     sweep::SweepEngine plain((sweep::SweepOptions()));
     const sweep::SweepResult without = plain.run(buildGrid());
 
-    obs::PerfReportSet reports;
+    obs::ObsCli cli;
+    cli.perfJson = "unused.perf.json";
+    cli.cctJson = "unused.cct.json";
+    cli.sampleJson = "unused.sample.json";
+    obs::ObsReports reports;
     sweep::SweepOptions opts;
-    sweep::attachPerfObserver(opts, reports);
+    sweep::attachObservers(opts, cli, reports);
     sweep::SweepEngine observing(opts);
     const sweep::SweepResult with = observing.run(buildGrid());
 
@@ -321,11 +328,84 @@ TEST(Perf, SweepGroupObserverKeepsMetricsBitIdentical)
         EXPECT_EQ(with.points[i].metric("ipc"),
                   without.points[i].metric("ipc"));
     }
-    // One trace group -> one collected report, and its JSON carries
-    // the stable schema.
-    EXPECT_EQ(reports.size(), 1u);
-    EXPECT_NE(reports.toJson().find("\"jrs-perf-report-v1\""),
+    // One trace group -> one collected report per profiler, and each
+    // JSON carries its stable schema.
+    EXPECT_EQ(reports.perf.size(), 1u);
+    EXPECT_EQ(reports.cct.size(), 1u);
+    EXPECT_EQ(reports.sample.size(), 1u);
+    EXPECT_NE(reports.perf.toJson().find("\"jrs-perf-report-v1\""),
               std::string::npos);
+    EXPECT_NE(reports.cct.toJson().find("\"jrs-cct-v1\""),
+              std::string::npos);
+    EXPECT_NE(reports.sample.toJson().find("\"jrs-sample-v1\""),
+              std::string::npos);
+}
+
+TEST(Perf, SharedPipelineMatchesSoloComposites)
+{
+    for (const char *mode : {"interp", "jit"}) {
+        SCOPED_TRACE(mode);
+        const RecordedRun rec = recordTiny("compress", mode);
+        const prof::SampleOptions sopt = obs::ObsCli().sampleOptions();
+
+        PipelineSim bare((PipelineConfig()));
+        rec.trace->replay(bare);
+
+        obs::PerfAttribution perf(*rec.methods);
+        prof::CctBuilder cct(*rec.methods);
+        prof::SamplingProfiler sampler(*rec.methods, sopt);
+        PipelineSim shared((PipelineConfig()));
+        shared.observe(perf);
+        shared.observe(cct);
+        shared.observe(sampler);
+        rec.trace->replay(shared);
+
+        obs::AttributedPipeline soloPerf(PipelineConfig{}, rec.methods);
+        rec.trace->replay(soloPerf);
+        prof::CctPipeline soloCct(PipelineConfig{}, rec.methods);
+        rec.trace->replay(soloCct);
+        prof::SamplePipeline soloSample(PipelineConfig{}, rec.methods,
+                                        sopt);
+        rec.trace->replay(soloSample);
+
+        obs::PerfReportSet perfA, perfB;
+        perfA.add("run", perf);
+        perfB.add("run", soloPerf.perf());
+        EXPECT_EQ(perfA.toJson(), perfB.toJson());
+        prof::CctReportSet cctA, cctB;
+        cctA.add("run", cct);
+        cctB.add("run", soloCct.cct());
+        EXPECT_EQ(cctA.toJson(), cctB.toJson());
+        prof::SampleReportSet sampleA, sampleB;
+        sampleA.add("run", sampler);
+        sampleB.add("run", soloSample.sampler());
+        EXPECT_EQ(sampleA.toJson(), sampleB.toJson());
+        EXPECT_GT(sampler.samples(), 0u);
+
+        EXPECT_EQ(shared.instructions(), bare.instructions());
+        EXPECT_EQ(shared.cycles(), bare.cycles());
+        EXPECT_EQ(shared.mispredicts(), bare.mispredicts());
+        EXPECT_EQ(shared.condBranches(), bare.condBranches());
+        EXPECT_EQ(shared.condMispredicts(), bare.condMispredicts());
+        EXPECT_EQ(shared.indirects(), bare.indirects());
+        EXPECT_EQ(shared.indirectMispredicts(),
+                  bare.indirectMispredicts());
+        for (const auto &[a, b] :
+             {std::pair(&shared.icache(), &bare.icache()),
+              std::pair(&shared.dcache(), &bare.dcache())}) {
+            EXPECT_EQ(a->stats().reads, b->stats().reads);
+            EXPECT_EQ(a->stats().writes, b->stats().writes);
+            EXPECT_EQ(a->stats().readMisses, b->stats().readMisses);
+            EXPECT_EQ(a->stats().writeMisses, b->stats().writeMisses);
+            for (std::size_t p = 0; p < kNumPhases; ++p) {
+                const Phase ph = static_cast<Phase>(p);
+                EXPECT_EQ(a->phaseStats(ph).accesses(),
+                          b->phaseStats(ph).accesses());
+                EXPECT_EQ(a->phaseStats(ph).misses(),
+                          b->phaseStats(ph).misses());
+            }
+        }
+    }
 }
 
 TEST(Perf, ReportSetOverwritesDuplicateLabels)

@@ -305,6 +305,35 @@ TEST(Sweep, DiskCacheServesSecondProcess)
               recorded->result.totalEvents);
 }
 
+TEST(Sweep, TruncatedDiskTraceIsReRecorded)
+{
+    TempDir dir("jrs_sweep_truncated");
+    const TraceKey key = tinyKey("compress", ExecMode::jit());
+    const std::vector<SweepPoint> grid = {cachePoint("c", key, 2)};
+
+    SweepOptions opts;
+    opts.cacheDir = dir.path;
+    const SweepResult first = SweepEngine(opts).run(grid);
+    ASSERT_TRUE(first.allOk());
+    EXPECT_EQ(first.traces.recordings, 1u);
+
+    // Cut the stored stream mid-record, as an interrupted write would.
+    const std::string path = dir.path + "/" + key.str() + ".jrstrace";
+    const auto size = std::filesystem::file_size(path);
+    std::filesystem::resize_file(path, size - 7);
+
+    const SweepResult second = SweepEngine(opts).run(grid);
+    ASSERT_TRUE(second.allOk());
+    EXPECT_EQ(second.traces.diskLoads, 0u);
+    EXPECT_EQ(second.traces.recordings, 1u);
+    EXPECT_EQ(second.points[0].metric("i_miss"),
+              first.points[0].metric("i_miss"));
+    EXPECT_EQ(second.points[0].metric("d_miss"),
+              first.points[0].metric("d_miss"));
+    // The re-recording repaired the file for the next process.
+    EXPECT_EQ(std::filesystem::file_size(path), size);
+}
+
 TEST(Sweep, TraceBufferDiskRoundTripIsLossless)
 {
     TempDir dir("jrs_sweep_roundtrip");

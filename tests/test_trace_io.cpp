@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 
 #include "arch/cache/cache.h"
 #include "arch/mix/instruction_mix.h"
+#include "isa/trace_buffer.h"
 #include "isa/trace_io.h"
 #include "vm_test_util.h"
 
@@ -132,6 +134,38 @@ TEST(TraceIo, EmptyTraceReplaysZeroEvents)
     CountingSink count;
     EXPECT_EQ(replayTraceFile(tmp.path, count), 0u);
     EXPECT_EQ(count.total(), 0u);
+}
+
+TEST(TraceIo, RejectsTruncatedRecord)
+{
+    TempFile tmp;
+    {
+        TraceFileWriter w(tmp.path);
+        for (std::uint64_t i = 0; i < 3; ++i) {
+            TraceEvent ev;
+            ev.pc = 0x1000 + 4 * i;
+            w.onEvent(ev);
+        }
+        w.onFinish();
+    }
+    ASSERT_EQ(std::filesystem::file_size(tmp.path),
+              kTraceHeaderBytes + 3 * kTraceRecordBytes);
+
+    // Cut at a record boundary: a shorter stream, which both loaders
+    // accept (the trace cache's event count catches that case).
+    std::filesystem::resize_file(tmp.path,
+                                 kTraceHeaderBytes + 2 * kTraceRecordBytes);
+    CountingSink whole;
+    EXPECT_EQ(replayTraceFile(tmp.path, whole), 2u);
+    EXPECT_EQ(TraceBuffer::load(tmp.path).size(), 2u);
+
+    // Cut mid-record: both loaders must refuse the file.
+    std::filesystem::resize_file(
+        tmp.path, kTraceHeaderBytes + 2 * kTraceRecordBytes - 5);
+    CountingSink partial;
+    EXPECT_THROW(replayTraceFile(tmp.path, partial), VmError);
+    EXPECT_EQ(partial.total(), 1u);  // whole records before the cut
+    EXPECT_THROW(TraceBuffer::load(tmp.path), VmError);
 }
 
 } // namespace
