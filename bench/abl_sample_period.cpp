@@ -13,24 +13,23 @@
  *
  *   - mean/max per-method cycle-share error (percentage points)
  *   - top-10 hot-method overlap and pairwise rank agreement
- *   - host replay overhead vs the bare pipeline (obs::HostStats)
+ *   - host replay overhead vs the bare pipeline (obs/clock.h)
  *
  * Error should fall and overhead rise as the period shrinks; the
- * curves (bench/BENCH_sample.json via --bench-json) put numbers on
- * where the knee is. The sampled replay's model is asserted
- * bit-identical to the bare pipeline's — sampling is read-only.
+ * curves (tabulated in EXPERIMENTS.md) put numbers on where the knee
+ * is. The sampled replay's model is asserted bit-identical to the
+ * bare pipeline's — sampling is read-only.
  *
- *   abl_sample_period [--seed N] [--bench-json FILE]
+ *   abl_sample_period [--seed N]
  */
 #include <cstdlib>
 #include <iostream>
 #include <string>
-#include <vector>
 
 #include "arch/pipeline/pipeline.h"
 #include "bench_util.h"
 #include "harness/experiment.h"
-#include "obs/host_stats.h"
+#include "obs/clock.h"
 #include "prof/cct.h"
 #include "prof/sampler.h"
 #include "support/statistics.h"
@@ -48,15 +47,11 @@ const std::uint64_t kPeriods[] = {256, 1024, 4096, 16384, 65536};
 /** Workloads whose streams anchor the curves (one loopy, one ragged). */
 const char *const kWorkloads[] = {"compress", "db"};
 
-struct Args {
-    std::uint64_t seed = 1;
-    std::string benchJson;
-};
-
-Args
-parseArgs(int argc, char **argv)
+/** Parse `--seed N` (default 1); exits with usage on anything else. */
+std::uint64_t
+parseSeed(int argc, char **argv)
 {
-    Args out;
+    std::uint64_t seed = 1;
     for (int i = 1; i < argc; ++i) {
         const std::string a = argv[i];
         auto next = [&]() -> std::string {
@@ -67,16 +62,13 @@ parseArgs(int argc, char **argv)
             return argv[++i];
         };
         if (a == "--seed") {
-            out.seed = obs::ObsCli::parseCount(next(), "--seed");
-        } else if (a == "--bench-json") {
-            out.benchJson = next();
+            seed = obs::ObsCli::parseCount(next(), "--seed");
         } else {
-            std::cerr << "usage: " << argv[0]
-                      << " [--seed N] [--bench-json FILE]\n";
+            std::cerr << "usage: " << argv[0] << " [--seed N]\n";
             std::exit(2);
         }
     }
-    return out;
+    return seed;
 }
 
 } // namespace
@@ -84,14 +76,12 @@ parseArgs(int argc, char **argv)
 int
 main(int argc, char **argv)
 {
-    const Args args = parseArgs(argc, argv);
+    const std::uint64_t seed = parseSeed(argc, argv);
     bench::header(
         "Ablation — sampled-profile error and overhead vs period",
         "exact attribution is the simulator's luxury; this measures "
         "what sampling at period P gives up");
 
-    obs::HostStats host;
-    std::vector<prof::BenchRun> benchRuns;
     Table t({"workload", "period", "samples", "mean|err|pp",
              "max|err|pp", "top10", "rank", "replay-x"});
 
@@ -105,56 +95,29 @@ main(int argc, char **argv)
         spec.workload = w;
         spec.arg = w->tinyArg;
         const RecordedRun rec = recordWorkload(spec);
-        const std::uint64_t events = rec.result.totalEvents;
 
         // (a) The bare model is the overhead baseline.
-        std::uint64_t pipeCycles = 0;
-        {
-            obs::HostStats::Section s(
-                host, std::string("sample/") + name + "/pipeline",
-                &events);
-            PipelineSim pipe{PipelineConfig{}};
-            rec.trace->replay(pipe);
-            pipeCycles = pipe.cycles();
-        }
-        const double pipeSeconds =
-            host.section(std::string("sample/") + name + "/pipeline")
-                .seconds;
+        obs::SteadyTime t0 = obs::steadyNow();
+        PipelineSim pipe{PipelineConfig{}};
+        rec.trace->replay(pipe);
+        const double pipeSeconds = obs::secondsSince(t0);
+        const std::uint64_t pipeCycles = pipe.cycles();
 
         // (b) The exact profiler is the accuracy ground truth (and
         // the overhead ceiling sampling should undercut).
         prof::CctPipeline exact(PipelineConfig{}, rec.methods);
-        {
-            obs::HostStats::Section s(
-                host, std::string("sample/") + name + "/exact",
-                &events);
-            rec.trace->replay(exact);
-        }
-        {
-            const obs::HostStats::Totals et = host.section(
-                std::string("sample/") + name + "/exact");
-            prof::BenchRun run = bench::benchRun(
-                std::string("sample/") + name + "/exact", events,
-                et.seconds);
-            if (pipeSeconds > 0)
-                run.metrics.emplace_back("overhead_vs_pipeline",
-                                         et.seconds / pipeSeconds);
-            benchRuns.push_back(std::move(run));
-        }
+        rec.trace->replay(exact);
 
         // (c) The period ladder.
         for (const std::uint64_t period : kPeriods) {
-            const std::string label = std::string("sample/") + name
-                + "/period" + std::to_string(period);
             prof::SampleOptions opt;
             opt.period = period;
-            opt.seed = args.seed;
+            opt.seed = seed;
             prof::SamplePipeline sp(PipelineConfig{}, rec.methods,
                                     opt);
-            {
-                obs::HostStats::Section s(host, label, &events);
-                rec.trace->replay(sp);
-            }
+            t0 = obs::steadyNow();
+            rec.trace->replay(sp);
+            const double seconds = obs::secondsSince(t0);
             if (sp.pipeline().cycles() != pipeCycles) {
                 std::cerr << "error: sampled replay perturbed the "
                              "model at period "
@@ -163,7 +126,6 @@ main(int argc, char **argv)
             }
             const prof::CalibrationReport rep =
                 prof::calibrate(exact.cct(), sp.sampler());
-            const double seconds = host.section(label).seconds;
             const double overhead =
                 pipeSeconds > 0 ? seconds / pipeSeconds : 0;
 
@@ -174,24 +136,6 @@ main(int argc, char **argv)
                       fixed(rep.topOverlap, 2),
                       fixed(rep.rankAgreement, 3),
                       fixed(overhead, 2)});
-
-            prof::BenchRun run =
-                bench::benchRun(label, events, seconds);
-            run.metrics.emplace_back("period",
-                                     static_cast<double>(period));
-            run.metrics.emplace_back("samples",
-                                     static_cast<double>(rep.samples));
-            run.metrics.emplace_back("mean_abs_err_pct",
-                                     rep.meanAbsErrPct);
-            run.metrics.emplace_back("max_abs_err_pct",
-                                     rep.maxAbsErrPct);
-            run.metrics.emplace_back("top10_overlap", rep.topOverlap);
-            run.metrics.emplace_back("rank_agreement",
-                                     rep.rankAgreement);
-            if (pipeSeconds > 0)
-                run.metrics.emplace_back("overhead_vs_pipeline",
-                                         overhead);
-            benchRuns.push_back(std::move(run));
         }
     }
 
@@ -199,10 +143,5 @@ main(int argc, char **argv)
     std::cout << "error columns are percentage points of cycle share;"
                  " replay-x is host replay time vs the bare pipeline"
                  " (exact profiler for reference, then each period)\n";
-
-    if (!args.benchJson.empty()) {
-        bench::upsertBenchRuns(args.benchJson, "sample", benchRuns);
-        std::cout << "wrote " << args.benchJson << '\n';
-    }
     return 0;
 }

@@ -15,10 +15,8 @@
 
 #include "harness/experiment.h"
 #include "obs/cli.h"
-#include "obs/host_stats.h"
 #include "obs/obs.h"
 #include "obs/perf.h"
-#include "prof/bench.h"
 #include "prof/cct.h"
 #include "prof/sampler.h"
 #include "support/statistics.h"
@@ -84,7 +82,6 @@ struct SweepBenchArgs {
     std::string json;         ///< --json: write the SweepResult
     std::string cacheDir;     ///< --cache-dir: on-disk trace cache
     bool compareSerial = false;  ///< --compare-serial
-    std::string benchJson;    ///< --bench-json: speedup trajectory file
     obs::ObsCli obs;          ///< --metrics/trace/perf-json (obs/cli.h)
 };
 
@@ -117,14 +114,12 @@ parseSweepBenchArgs(int argc, char **argv)
             out.cacheDir = next();
         } else if (a == "--compare-serial") {
             out.compareSerial = true;
-        } else if (a == "--bench-json") {
-            out.benchJson = next();
         } else if (out.obs.tryParse(a, next)) {
             continue;
         } else {
             std::cerr << "usage: " << argv[0]
                       << " [--jobs N] [--json FILE] [--cache-dir DIR]"
-                         " [--compare-serial] [--bench-json FILE]"
+                         " [--compare-serial]"
                       << obs::ObsCli::usageText() << '\n';
             std::exit(2);
         }
@@ -177,52 +172,6 @@ finishObs(const SweepBenchArgs &args, const obs::ObsReports &reports)
 {
     args.obs.finish(std::cout);
     args.obs.writeReports(reports, std::cout);
-}
-
-/** Sum of per-point stream events across a finished sweep. */
-inline std::uint64_t
-sweepEvents(const sweep::SweepResult &result)
-{
-    std::uint64_t total = 0;
-    for (const sweep::PointResult &p : result.points)
-        total += p.traceEvents;
-    return total;
-}
-
-/** Build one jrs-bench-v1 run entry from a timed step. */
-inline prof::BenchRun
-benchRun(std::string label, std::uint64_t events, double seconds)
-{
-    prof::BenchRun run;
-    run.label = std::move(label);
-    run.events = events;
-    run.wallSeconds = seconds;
-    run.eventsPerSec =
-        seconds > 0 ? static_cast<double>(events) / seconds : 0;
-    run.peakRssBytes = obs::HostStats::peakRssBytes();
-    return run;
-}
-
-/**
- * Merge @p runs into the jrs-bench-v1 trajectory file at @p path
- * (schema in prof/bench.h), replacing same-label entries and creating
- * the file — or restarting an old-schema/corrupt one — as needed.
- * Exits non-zero on I/O failure, like the rest of the bench helpers.
- */
-inline void
-upsertBenchRuns(const std::string &path, const std::string &suite,
-                std::vector<prof::BenchRun> runs)
-{
-    prof::BenchReport report = prof::BenchReport::loadOrEmpty(path,
-                                                              suite);
-    for (prof::BenchRun &run : runs)
-        report.upsert(std::move(run));
-    try {
-        report.writeJson(path);
-    } catch (const VmError &e) {
-        std::cerr << "error: " << e.what() << '\n';
-        std::exit(1);
-    }
 }
 
 } // namespace jrs::bench

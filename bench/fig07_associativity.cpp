@@ -10,15 +10,11 @@
  * is recorded once and replayed into the four associativity models,
  * with streams processed in parallel across `--jobs` workers.
  * `--compare-serial` also runs the pre-sweep implementation (live VM
- * run per point) and checks the two produce bit-identical miss rates;
- * `--bench-json FILE` records serial/cold/warm throughput in a
- * jrs-bench-v1 trajectory file (prof/bench.h).
+ * run per point) and checks the two produce bit-identical miss rates.
  */
-#include <chrono>
-#include <thread>
-
 #include "arch/cache/cache.h"
 #include "bench_util.h"
+#include "obs/clock.h"
 #include "sweep/grids.h"
 
 using namespace jrs;
@@ -38,7 +34,7 @@ struct SerialBaseline {
 SerialBaseline
 runSerialBaseline()
 {
-    const auto t0 = std::chrono::steady_clock::now();
+    const obs::SteadyTime t0 = obs::steadyNow();
     SerialBaseline out;
     for (const WorkloadInfo *w : bench::suite()) {
         for (const bool jit : {false, true}) {
@@ -71,9 +67,7 @@ runSerialBaseline()
             }
         }
     }
-    out.seconds = std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - t0)
-                      .count();
+    out.seconds = obs::secondsSince(t0);
     return out;
 }
 
@@ -149,7 +143,7 @@ main(int argc, char **argv)
     if (!args.json.empty())
         result.writeJson(args.json);
 
-    if (args.compareSerial || !args.benchJson.empty()) {
+    if (args.compareSerial) {
         // Warm pass: every stream is now in the engine's in-process
         // cache, so this measures the pure replay-many path.
         const sweep::SweepResult warm =
@@ -166,34 +160,6 @@ main(int argc, char **argv)
                                     2)
                   << "x) | results bit-identical: "
                   << (same ? "yes" : "NO") << '\n';
-        if (!args.benchJson.empty()) {
-            // Three jrs-bench-v1 entries sharing one event count (the
-            // same grid's streams) so events_per_sec ratios track the
-            // printed speedups.
-            const std::uint64_t ev = bench::sweepEvents(result);
-            prof::BenchRun sr =
-                bench::benchRun("fig07/serial", ev, serial.seconds);
-            sr.metrics.emplace_back("jobs",
-                                    static_cast<double>(result.jobs));
-            sr.metrics.emplace_back(
-                "hw_threads",
-                static_cast<double>(
-                    std::thread::hardware_concurrency()));
-            prof::BenchRun cold = bench::benchRun(
-                "fig07/sweep_cold", ev, result.wallSeconds);
-            cold.metrics.emplace_back(
-                "speedup_vs_serial",
-                serial.seconds / result.wallSeconds);
-            prof::BenchRun warmRun = bench::benchRun(
-                "fig07/sweep_warm", ev, warm.wallSeconds);
-            warmRun.metrics.emplace_back(
-                "speedup_vs_serial", serial.seconds / warm.wallSeconds);
-            warmRun.metrics.emplace_back("bit_identical",
-                                         same ? 1.0 : 0.0);
-            bench::upsertBenchRuns(
-                args.benchJson, "sweep",
-                {std::move(sr), std::move(cold), std::move(warmRun)});
-        }
         if (!same) {
             bench::finishObs(args, reports);
             return 1;

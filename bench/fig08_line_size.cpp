@@ -11,13 +11,11 @@
  * Runs on the sweep engine — one recording per (workload, mode),
  * replayed into the four line-size models, streams in parallel across
  * `--jobs` workers. See fig07_associativity.cpp for the
- * `--compare-serial` / `--bench-json` semantics.
+ * `--compare-serial` semantics.
  */
-#include <chrono>
-#include <thread>
-
 #include "arch/cache/cache.h"
 #include "bench_util.h"
+#include "obs/clock.h"
 #include "sweep/grids.h"
 
 using namespace jrs;
@@ -36,7 +34,7 @@ struct SerialBaseline {
 SerialBaseline
 runSerialBaseline()
 {
-    const auto t0 = std::chrono::steady_clock::now();
+    const obs::SteadyTime t0 = obs::steadyNow();
     SerialBaseline out;
     for (const WorkloadInfo *w : bench::suite(true)) {
         for (const bool jit : {false, true}) {
@@ -69,9 +67,7 @@ runSerialBaseline()
             }
         }
     }
-    out.seconds = std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - t0)
-                      .count();
+    out.seconds = obs::secondsSince(t0);
     return out;
 }
 
@@ -161,7 +157,7 @@ main(int argc, char **argv)
     if (!args.json.empty())
         result.writeJson(args.json);
 
-    if (args.compareSerial || !args.benchJson.empty()) {
+    if (args.compareSerial) {
         const sweep::SweepResult warm =
             engine.run(sweep::buildFig08Grid());
         const SerialBaseline serial = runSerialBaseline();
@@ -176,31 +172,6 @@ main(int argc, char **argv)
                                     2)
                   << "x) | results bit-identical: "
                   << (same ? "yes" : "NO") << '\n';
-        if (!args.benchJson.empty()) {
-            const std::uint64_t ev = bench::sweepEvents(result);
-            prof::BenchRun sr =
-                bench::benchRun("fig08/serial", ev, serial.seconds);
-            sr.metrics.emplace_back("jobs",
-                                    static_cast<double>(result.jobs));
-            sr.metrics.emplace_back(
-                "hw_threads",
-                static_cast<double>(
-                    std::thread::hardware_concurrency()));
-            prof::BenchRun cold = bench::benchRun(
-                "fig08/sweep_cold", ev, result.wallSeconds);
-            cold.metrics.emplace_back(
-                "speedup_vs_serial",
-                serial.seconds / result.wallSeconds);
-            prof::BenchRun warmRun = bench::benchRun(
-                "fig08/sweep_warm", ev, warm.wallSeconds);
-            warmRun.metrics.emplace_back(
-                "speedup_vs_serial", serial.seconds / warm.wallSeconds);
-            warmRun.metrics.emplace_back("bit_identical",
-                                         same ? 1.0 : 0.0);
-            bench::upsertBenchRuns(
-                args.benchJson, "sweep",
-                {std::move(sr), std::move(cold), std::move(warmRun)});
-        }
         if (!same) {
             bench::finishObs(args, reports);
             return 1;

@@ -160,12 +160,10 @@ makePolicy(const Options &o, const Program &prog)
     return std::make_shared<AlwaysCompilePolicy>();
 }
 
-} // namespace
-
+/** Run the workload once and print the requested reports. */
 int
-main(int argc, char **argv)
+run(const Options &o)
 {
-    const Options o = parse(argc, argv);
     const Program prog = o.workload->build();
 
     InstructionMix mix;
@@ -327,4 +325,20 @@ main(int argc, char **argv)
         t.print(std::cout);
     }
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    const Options o = parse(argc, argv);
+    try {
+        return run(o);
+    } catch (const std::exception &e) {
+        // A trace file that cannot be opened or flushed, or a VM
+        // fault: report it rather than terminate.
+        std::cerr << "jrs_run: " << e.what() << "\n";
+        return 1;
+    }
 }

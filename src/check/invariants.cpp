@@ -391,34 +391,11 @@ lintTraceFile(const std::string &path, bool require_sidecars)
 {
     LintResult out;
 
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (f == nullptr) {
-        out.error = "cannot open " + path;
-        return out;
-    }
-
-    std::uint8_t header[kTraceHeaderBytes];
-    if (std::fread(header, 1, sizeof header, f) != sizeof header) {
-        std::fclose(f);
-        out.error = "file shorter than the JRSTRACE header";
-        return out;
-    }
-    if (std::string err = checkTraceHeader(header); !err.empty()) {
-        std::fclose(f);
-        out.error = err;
-        return out;
-    }
-
     TraceInvariantChecker checker;
-    std::uint8_t rec[kTraceRecordBytes];
-    std::size_t n;
-    while ((n = std::fread(rec, 1, sizeof rec, f)) == sizeof rec)
-        checker.onEvent(decodeTraceRecord(rec));
-    std::fclose(f);
-    if (n != 0) {
-        out.error = "truncated record at event "
-            + std::to_string(checker.eventCount()) + " ("
-            + std::to_string(n) + " trailing bytes)";
+    try {
+        replayTraceFile(path, checker);
+    } catch (const VmError &e) {
+        out.error = e.what();
         return out;
     }
 

@@ -9,7 +9,7 @@ namespace jrs {
 
 namespace {
 
-/** Disk-I/O staging: pack/unpack this many records per fwrite/fread. */
+/** Disk-I/O staging: pack this many records per fwrite. */
 constexpr std::size_t kStageEvents = 64 * 1024;
 
 } // namespace
@@ -102,42 +102,8 @@ TraceBuffer::save(const std::string &path) const
 TraceBuffer
 TraceBuffer::load(const std::string &path)
 {
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (f == nullptr)
-        throw VmError("cannot open trace file: " + path);
-    std::uint8_t header[kTraceHeaderBytes];
-    if (std::fread(header, 1, sizeof(header), f) != sizeof(header)) {
-        std::fclose(f);
-        throw VmError("not a jrs trace file: " + path);
-    }
-    const std::string err = checkTraceHeader(header);
-    if (!err.empty()) {
-        std::fclose(f);
-        throw VmError("cannot load " + path + ": " + err);
-    }
     TraceBuffer buf;
-    const auto stage =
-        std::make_unique<std::uint8_t[]>(kStageEvents
-                                         * kTraceRecordBytes);
-    for (;;) {
-        const std::size_t got = std::fread(
-            stage.get(), 1, kStageEvents * kTraceRecordBytes, f);
-        const std::size_t n = got / kTraceRecordBytes;
-        for (std::size_t i = 0; i < n; ++i) {
-            *buf.slotFor(buf.count_) = decodeTraceRecord(
-                stage.get() + i * kTraceRecordBytes);
-            ++buf.count_;
-        }
-        if (got % kTraceRecordBytes != 0) {
-            std::fclose(f);
-            throw VmError("cannot load " + path
-                          + ": truncated trace record after "
-                          + std::to_string(buf.count_) + " events");
-        }
-        if (got < kStageEvents * kTraceRecordBytes)
-            break;
-    }
-    std::fclose(f);
+    replayTraceFile(path, buf);
     return buf;
 }
 

@@ -69,9 +69,10 @@ class TraceBuffer : public TraceSink {
     void save(const std::string &path) const;
 
     /**
-     * Read a JRSTRACE file recorded by save() (or TraceFileWriter).
-     * Throws VmError on missing file, bad magic, version mismatch, or
-     * a partial trailing record (a truncated file).
+     * Read a JRSTRACE file recorded by save() (or TraceFileWriter)
+     * through replayTraceFile. Throws VmError on missing file, bad
+     * magic, version mismatch, a corrupt record, or a partial trailing
+     * record (a truncated file).
      */
     static TraceBuffer load(const std::string &path);
 

@@ -1,7 +1,9 @@
 #include "isa/trace_io.h"
 
 #include <bit>
+#include <cerrno>
 #include <cstring>
+#include <memory>
 #include <string>
 
 #include "vm/runtime/vm_error.h"
@@ -39,6 +41,48 @@ getU64(const std::uint8_t *p)
     }
 }
 
+/** Closes a trace file on every exit path, a throwing sink's too. */
+struct FileCloser {
+    void operator()(std::FILE *f) const { std::fclose(f); }
+};
+
+/** Records read per fread while replaying a file. */
+constexpr std::size_t kReadRecords = 4096;
+
+VmError
+corruptRecord(std::uint64_t index, const char *field, unsigned tag)
+{
+    return VmError("corrupt trace record at event "
+                   + std::to_string(index) + ": " + field + " tag "
+                   + std::to_string(tag) + " out of range");
+}
+
+/**
+ * Decode one record written by encodeTraceRecord; @p index is its
+ * position in the stream, for the diagnostic.
+ */
+TraceEvent
+decodeTraceRecord(const std::uint8_t *in, std::uint64_t index)
+{
+    // Every model indexes per-kind/per-phase arrays by these tags.
+    if (in[24] >= kNumNKinds) [[unlikely]]
+        throw corruptRecord(index, "kind", in[24]);
+    if (in[25] >= kNumPhases) [[unlikely]]
+        throw corruptRecord(index, "phase", in[25]);
+    TraceEvent ev;
+    ev.pc = getU64(in + 0);
+    ev.mem = getU64(in + 8);
+    ev.target = getU64(in + 16);
+    ev.kind = static_cast<NKind>(in[24]);
+    ev.phase = static_cast<Phase>(in[25]);
+    ev.taken = in[26] != 0;
+    ev.memSize = in[27];
+    ev.rd = in[28];
+    ev.rs1 = in[29];
+    ev.rs2 = in[30];
+    return ev;
+}
+
 } // namespace
 
 void
@@ -55,23 +99,6 @@ encodeTraceRecord(const TraceEvent &ev, std::uint8_t *out)
     out[29] = ev.rs1;
     out[30] = ev.rs2;
     out[31] = out[32] = out[33] = out[34] = 0;
-}
-
-TraceEvent
-decodeTraceRecord(const std::uint8_t *in)
-{
-    TraceEvent ev;
-    ev.pc = getU64(in + 0);
-    ev.mem = getU64(in + 8);
-    ev.target = getU64(in + 16);
-    ev.kind = static_cast<NKind>(in[24]);
-    ev.phase = static_cast<Phase>(in[25]);
-    ev.taken = in[26] != 0;
-    ev.memSize = in[27];
-    ev.rd = in[28];
-    ev.rs1 = in[29];
-    ev.rs2 = in[30];
-    return ev;
 }
 
 void
@@ -93,7 +120,7 @@ checkTraceHeader(const std::uint8_t *in)
 }
 
 TraceFileWriter::TraceFileWriter(const std::string &path)
-    : file_(std::fopen(path.c_str(), "wb"))
+    : file_(std::fopen(path.c_str(), "wb")), path_(path)
 {
     if (file_ == nullptr)
         throw VmError("cannot open trace file for writing: " + path);
@@ -124,41 +151,46 @@ TraceFileWriter::onEvent(const TraceEvent &ev)
 void
 TraceFileWriter::onFinish()
 {
-    std::fflush(file_);
+    // The last records sit in stdio's buffer until this flush.
+    if (std::fflush(file_) != 0) {
+        throw VmError("trace write failed: " + path_ + ": "
+                      + std::strerror(errno));
+    }
 }
 
 std::uint64_t
 replayTraceFile(const std::string &path, TraceSink &sink)
 {
-    std::FILE *f = std::fopen(path.c_str(), "rb");
+    const std::unique_ptr<std::FILE, FileCloser> f(
+        std::fopen(path.c_str(), "rb"));
     if (f == nullptr)
         throw VmError("cannot open trace file: " + path);
 
     std::uint8_t header[kTraceHeaderBytes];
-    if (std::fread(header, 1, sizeof(header), f) != sizeof(header)) {
-        std::fclose(f);
+    if (std::fread(header, 1, sizeof(header), f.get()) != sizeof(header))
         throw VmError("not a jrs trace file: " + path);
-    }
-    const std::string err = checkTraceHeader(header);
-    if (!err.empty()) {
-        std::fclose(f);
+    if (const std::string err = checkTraceHeader(header); !err.empty())
         throw VmError("cannot replay " + path + ": " + err);
-    }
 
+    const std::size_t stageBytes = kReadRecords * kTraceRecordBytes;
+    const auto stage = std::make_unique<std::uint8_t[]>(stageBytes);
     std::uint64_t events = 0;
-    std::uint8_t rec[kTraceRecordBytes];
     std::size_t got;
-    while ((got = std::fread(rec, 1, kTraceRecordBytes, f))
-           == kTraceRecordBytes) {
-        sink.onEvent(decodeTraceRecord(rec));
-        ++events;
-    }
-    std::fclose(f);
-    if (got != 0) {
-        throw VmError("cannot replay " + path
-                      + ": truncated trace record after "
-                      + std::to_string(events) + " events");
-    }
+    do {
+        got = std::fread(stage.get(), 1, stageBytes, f.get());
+        const std::size_t n = got / kTraceRecordBytes;
+        for (std::size_t i = 0; i < n; ++i, ++events) {
+            sink.onEvent(decodeTraceRecord(
+                stage.get() + i * kTraceRecordBytes, events));
+        }
+        if (got % kTraceRecordBytes != 0) {
+            throw VmError("cannot replay " + path
+                          + ": truncated trace record after "
+                          + std::to_string(events) + " events");
+        }
+    } while (got == stageBytes);
+    if (std::ferror(f.get()))
+        throw VmError("cannot replay " + path + ": read error");
     sink.onFinish();
     return events;
 }

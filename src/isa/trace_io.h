@@ -44,9 +44,6 @@ inline constexpr std::size_t kTraceHeaderBytes = 16;
  */
 void encodeTraceRecord(const TraceEvent &ev, std::uint8_t *out);
 
-/** Decode one record previously written by encodeTraceRecord. */
-TraceEvent decodeTraceRecord(const std::uint8_t *in);
-
 /** Fill a kTraceHeaderBytes header (magic + current version). */
 void encodeTraceHeader(std::uint8_t *out);
 
@@ -67,6 +64,8 @@ class TraceFileWriter : public TraceSink {
     TraceFileWriter &operator=(const TraceFileWriter &) = delete;
 
     void onEvent(const TraceEvent &ev) override;
+
+    /** Flushes the file; throws VmError when the flush fails. */
     void onFinish() override;
 
     /** Events written so far. */
@@ -74,15 +73,20 @@ class TraceFileWriter : public TraceSink {
 
   private:
     std::FILE *file_;
+    std::string path_;
     std::uint64_t events_ = 0;
 };
 
 /**
- * Replay a trace file into @p sink (calling onFinish at EOF).
- * @return the number of events replayed. Throws VmError on a missing
- * file, bad magic, version mismatch, or a partial trailing record (a
- * truncated file; the whole records before it have been delivered,
- * onFinish has not).
+ * Replay a trace file into @p sink (calling onFinish at EOF); the one
+ * JRSTRACE read loop, behind TraceBuffer::load and `jrs_check
+ * lint-trace` too. @return the number of events replayed. Throws
+ * VmError on a missing file, bad magic, version mismatch, a record
+ * whose kind or phase tag is out of range (a corrupt file: every model
+ * indexes per-kind and per-phase arrays by them) or a partial trailing
+ * record (a truncated file). On a throw the records before the bad one have been
+ * delivered, onFinish has not, and the file is closed — also when the
+ * sink itself throws.
  */
 std::uint64_t replayTraceFile(const std::string &path, TraceSink &sink);
 

@@ -3,9 +3,9 @@
  * Shared monotonic-clock helpers.
  *
  * Every host-side measurement in the tree — sweep wall-clock totals,
- * span-tracer timestamps, HostStats sections — reads the same
- * steady_clock through these helpers, so elapsed-time math is written
- * exactly once. Simulated time never passes through here; that unit
+ * span-tracer timestamps, the bench binaries' serial and replay
+ * timings — reads the same steady_clock through these helpers, so
+ * elapsed-time math is written exactly once. Simulated time never passes through here; that unit
  * is retired instructions (see arch/).
  */
 #ifndef JRS_OBS_CLOCK_H

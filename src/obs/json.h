@@ -3,7 +3,7 @@
  * Shared JSON plumbing for every jrs-*-v1 writer (and the one reader).
  *
  * All observability schemas (jrs-metrics-v1, jrs-perf-report-v1,
- * jrs-cct-v1, jrs-bench-v1, jrs-sample-v1, the Chrome trace-event
+ * jrs-cct-v1, jrs-sample-v1, the Chrome trace-event
  * output and the sweep-result documents) hand-render their JSON; this
  * header is the single definition of the two primitives they share:
  *
@@ -15,12 +15,11 @@
  *    (snprintf honors LC_NUMERIC) would otherwise emit invalid JSON,
  *    so any ',' the formatter produced is normalized back to '.'.
  *
- * JsonParser is the tree's one JSON reader (moved here from
- * prof/bench.cpp): a minimal recursive-descent parser covering what
- * the writers above emit — strings, finite numbers, objects, arrays,
- * true/false/null, no \u surrogate pairs. It exists so round-trip
- * tests and jrs_bench --compare need no external JSON dependency;
- * it is strict enough to reject files this tree did not write.
+ * JsonParser is the tree's one JSON reader: a minimal recursive-descent
+ * parser covering what the writers above emit — strings, finite
+ * numbers, objects, arrays, true/false/null, no \u surrogate pairs. It
+ * exists so the round-trip tests need no external JSON dependency; it
+ * is strict enough to reject files this tree did not write.
  */
 #ifndef JRS_OBS_JSON_H
 #define JRS_OBS_JSON_H
@@ -61,7 +60,7 @@ class JsonParser {
 
     /**
      * @p text must outlive the parser. @p what names the schema in
-     * error messages ("jrs-bench-v1 parse error at byte N: ...").
+     * error messages ("jrs-sample-v1 parse error at byte N: ...").
      */
     explicit JsonParser(const std::string &text,
                         std::string what = "json");

@@ -18,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include <climits>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 
@@ -638,6 +639,30 @@ TEST_F(LintTrace, MetaEventCountMismatchIsDetected)
     const check::LintResult r = check::lintTraceFile(trace_, true);
     EXPECT_FALSE(r.ok);
     EXPECT_NE(r.error.find("events"), std::string::npos) << r.error;
+}
+
+TEST_F(LintTrace, CorruptRecordIsACleanError)
+{
+    // Phase tag of record 3 (byte 25) out of range: the shared
+    // JRSTRACE reader refuses the file and lint reports why.
+    {
+        std::FILE *f = std::fopen(trace_.c_str(), "r+b");
+        ASSERT_NE(f, nullptr);
+        ASSERT_EQ(std::fseek(f,
+                             static_cast<long>(kTraceHeaderBytes
+                                               + 3 * kTraceRecordBytes
+                                               + 25),
+                             SEEK_SET),
+                  0);
+        std::fputc(9, f);
+        std::fclose(f);
+    }
+    const check::LintResult r = check::lintTraceFile(trace_, false);
+    EXPECT_FALSE(r.ok);
+    EXPECT_EQ(r.events, 0u);
+    EXPECT_EQ(r.error,
+              "vm: corrupt trace record at event 3: phase tag 9 out of "
+              "range");
 }
 
 TEST_F(LintTrace, GarbageFileFailsHeaderCheck)

@@ -1,6 +1,6 @@
 /**
  * @file
- * jrs::prof contract tests (prof/cct.h + prof/bench.h):
+ * jrs::prof contract tests (prof/cct.h):
  *
  *  - Conservation: a CCT pass observes exactly
  *    PipelineSim::instructions() events and cycles() cycles, and both
@@ -17,9 +17,6 @@
  *    abandoned), depth overflow suppresses pushes without losing
  *    events.
  *  - Golden folded-flamegraph fixture from hand-built events.
- *  - jrs-bench-v1 reports round-trip through their JSON and
- *    compareReports() passes on self, fails on an injected
- *    regression.
  */
 #include <gtest/gtest.h>
 
@@ -35,10 +32,8 @@
 #include "isa/address_map.h"
 #include "isa/trace_buffer.h"
 #include "obs/attribution.h"
-#include "prof/bench.h"
 #include "prof/cct.h"
 #include "vm/engine/policy.h"
-#include "vm/runtime/vm_error.h"
 #include "workloads/workload.h"
 
 namespace jrs {
@@ -373,130 +368,6 @@ TEST(Cct, ReportSetRendersStableJsonAndFoldedPrefixes)
     std::string first;
     ASSERT_TRUE(std::getline(f, first));
     EXPECT_EQ(first.rfind("a-run;", 0), 0u);
-}
-
-TEST(Bench, ReportRoundTripsThroughJson)
-{
-    prof::BenchReport report;
-    report.suite = "vm";
-    prof::BenchRun run;
-    run.label = "vm/compress/jit";
-    run.events = 1234567;
-    run.wallSeconds = 0.25;
-    run.eventsPerSec = 4938268;
-    run.peakRssBytes = 7654321;
-    run.metrics.emplace_back("speedup \"x\"", 1.5);
-    report.upsert(run);
-    run.label = "vm/compress/interp";
-    report.upsert(run);
-
-    const prof::BenchReport parsed =
-        prof::BenchReport::parse(report.toJson());
-    EXPECT_EQ(parsed.suite, "vm");
-    ASSERT_EQ(parsed.runs.size(), 2u);
-    const prof::BenchRun *r = parsed.find("vm/compress/jit");
-    ASSERT_NE(r, nullptr);
-    EXPECT_EQ(r->events, 1234567u);
-    EXPECT_DOUBLE_EQ(r->wallSeconds, 0.25);
-    EXPECT_DOUBLE_EQ(r->eventsPerSec, 4938268);
-    EXPECT_EQ(r->peakRssBytes, 7654321u);
-    EXPECT_DOUBLE_EQ(r->metric("speedup \"x\""), 1.5);
-    // A second serialize/parse round trip is byte-stable.
-    EXPECT_EQ(parsed.toJson(), report.toJson());
-}
-
-TEST(Bench, CompareSelfPassesAndInjectedRegressionFails)
-{
-    prof::BenchReport base;
-    base.suite = "vm";
-    for (const char *label : {"a", "b", "c"}) {
-        prof::BenchRun run;
-        run.label = label;
-        run.events = 1000;
-        run.wallSeconds = 1.0;
-        run.eventsPerSec = 1000;
-        base.upsert(run);
-    }
-
-    // Self-compare: zero deltas, passes at any threshold.
-    const prof::CompareResult self =
-        prof::compareReports(base, base, 0.0);
-    EXPECT_FALSE(self.failed);
-    EXPECT_EQ(self.rows.size(), 3u);
-    EXPECT_EQ(self.worstDeltaPct, 0.0);
-
-    // Injected regression: "b" is now 40% slower.
-    prof::BenchReport current = base;
-    prof::BenchRun slower = *current.find("b");
-    slower.eventsPerSec = 600;
-    current.upsert(slower);
-    const prof::CompareResult cmp =
-        prof::compareReports(base, current, 20.0);
-    EXPECT_TRUE(cmp.failed);
-    EXPECT_DOUBLE_EQ(cmp.worstDeltaPct, -40.0);
-    bool found = false;
-    for (const prof::CompareRow &row : cmp.rows) {
-        if (row.label == "b") {
-            EXPECT_TRUE(row.regressed);
-            found = true;
-        } else {
-            EXPECT_FALSE(row.regressed);
-        }
-    }
-    EXPECT_TRUE(found);
-    EXPECT_NE(cmp.text(20.0).find("FAIL"), std::string::npos);
-
-    // A generous threshold tolerates the same drop.
-    EXPECT_FALSE(prof::compareReports(base, current, 50.0).failed);
-
-    // Labels on only one side are reported, never failed on.
-    prof::BenchReport grown = base;
-    prof::BenchRun extra;
-    extra.label = "d";
-    extra.events = 1;
-    extra.wallSeconds = 1.0;
-    extra.eventsPerSec = 1;
-    grown.upsert(extra);
-    const prof::CompareResult g =
-        prof::compareReports(base, grown, 20.0);
-    EXPECT_FALSE(g.failed);
-    ASSERT_EQ(g.onlyCurrent.size(), 1u);
-    EXPECT_EQ(g.onlyCurrent[0], "d");
-}
-
-TEST(Bench, LoadOrEmptyRestartsForeignFiles)
-{
-    TempDir dir("jrs_prof_bench_load");
-    const std::string path = dir.path + "/t.json";
-
-    // Missing file: fresh report carrying the suite name.
-    prof::BenchReport fresh = prof::BenchReport::loadOrEmpty(path,
-                                                             "vm");
-    EXPECT_EQ(fresh.suite, "vm");
-    EXPECT_TRUE(fresh.runs.empty());
-
-    // Old-schema file: the trajectory restarts rather than throwing.
-    {
-        std::ofstream f(path);
-        f << "{\"schema\": \"jrs-bench-sweep-v1\", \"entries\": []}\n";
-    }
-    EXPECT_TRUE(prof::BenchReport::loadOrEmpty(path, "vm").runs
-                    .empty());
-    // ...but strict load() rejects it.
-    EXPECT_THROW((void)prof::BenchReport::load(path), VmError);
-
-    // Round trip through disk.
-    prof::BenchRun run;
-    run.label = "x";
-    run.events = 42;
-    run.wallSeconds = 2.0;
-    run.eventsPerSec = 21;
-    fresh.upsert(run);
-    fresh.writeJson(path);
-    const prof::BenchReport back = prof::BenchReport::loadOrEmpty(
-        path, "vm");
-    ASSERT_EQ(back.runs.size(), 1u);
-    EXPECT_EQ(back.runs[0].events, 42u);
 }
 
 } // namespace

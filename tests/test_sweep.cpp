@@ -6,6 +6,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <filesystem>
 #include <stdexcept>
 
@@ -332,6 +333,25 @@ TEST(Sweep, TruncatedDiskTraceIsReRecorded)
               first.points[0].metric("d_miss"));
     // The re-recording repaired the file for the next process.
     EXPECT_EQ(std::filesystem::file_size(path), size);
+
+    // A corrupt phase tag keeps the size and the event count the
+    // .meta sidecar records, so only decoding can catch it.
+    {
+        std::FILE *f = std::fopen(path.c_str(), "r+b");
+        ASSERT_NE(f, nullptr);
+        ASSERT_EQ(std::fseek(f,
+                             static_cast<long>(kTraceHeaderBytes + 25),
+                             SEEK_SET),
+                  0);
+        std::fputc(0xff, f);
+        std::fclose(f);
+    }
+    const SweepResult third = SweepEngine(opts).run(grid);
+    ASSERT_TRUE(third.allOk());
+    EXPECT_EQ(third.traces.diskLoads, 0u);
+    EXPECT_EQ(third.traces.recordings, 1u);
+    EXPECT_EQ(third.points[0].metric("i_miss"),
+              first.points[0].metric("i_miss"));
 }
 
 TEST(Sweep, TraceBufferDiskRoundTripIsLossless)

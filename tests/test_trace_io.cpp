@@ -2,6 +2,8 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <stdexcept>
+#include <string>
 
 #include "arch/cache/cache.h"
 #include "arch/mix/instruction_mix.h"
@@ -12,13 +14,87 @@
 namespace jrs {
 namespace {
 
-/** Temp path helper; removed at scope exit. */
+/**
+ * Temp path helper; removed at scope exit. Named after the running
+ * test: ctest runs each case as its own process, possibly
+ * concurrently, so a shared path would let tests clobber each other.
+ */
 struct TempFile {
-    TempFile() : path(std::string(::testing::TempDir())
-                      + "jrs_trace_test.bin") {}
+    TempFile()
+        : path(std::string(::testing::TempDir()) + "jrs_trace_test_"
+               + ::testing::UnitTest::GetInstance()
+                     ->current_test_info()->name()
+               + ".bin") {}
     ~TempFile() { std::remove(path.c_str()); }
     std::string path;
 };
+
+/** Byte offsets of the kind and phase tags within a record. */
+constexpr std::size_t kKindByte = 24;
+constexpr std::size_t kPhaseByte = 25;
+
+/** Write @p n valid events (IntAlu, Interpret) to @p path. */
+void
+writeValidTrace(const std::string &path, std::uint64_t n)
+{
+    TraceFileWriter w(path);
+    for (std::uint64_t i = 0; i < n; ++i) {
+        TraceEvent ev;
+        ev.kind = NKind::IntAlu;
+        ev.pc = 0x1000 + 4 * i;
+        w.onEvent(ev);
+    }
+    w.onFinish();
+}
+
+/** Overwrite byte @p offset of record @p index with @p value. */
+void
+pokeRecordByte(const std::string &path, std::uint64_t index,
+               std::size_t offset, std::uint8_t value)
+{
+    std::FILE *f = std::fopen(path.c_str(), "r+b");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fseek(f,
+                         static_cast<long>(kTraceHeaderBytes
+                                           + index * kTraceRecordBytes
+                                           + offset),
+                         SEEK_SET),
+              0);
+    ASSERT_EQ(std::fputc(value, f), value);
+    std::fclose(f);
+}
+
+/** The VmError message @p fn throws, or "" when it does not throw. */
+template <typename Fn>
+std::string
+vmErrorOf(Fn fn)
+{
+    try {
+        fn();
+    } catch (const VmError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+/** Sink that fails on its first event. */
+struct ThrowingSink : TraceSink {
+    void onEvent(const TraceEvent &) override {
+        throw std::runtime_error("sink failed");
+    }
+};
+
+/** Open descriptors of this process; -1 without /proc/self/fd. */
+long
+openFds()
+{
+    std::error_code ec;
+    long n = 0;
+    for (std::filesystem::directory_iterator it("/proc/self/fd", ec), end;
+         !ec && it != end; it.increment(ec))
+        ++n;
+    return ec ? -1 : n;
+}
 
 TEST(TraceIo, RoundTripsEveryField)
 {
@@ -139,15 +215,7 @@ TEST(TraceIo, EmptyTraceReplaysZeroEvents)
 TEST(TraceIo, RejectsTruncatedRecord)
 {
     TempFile tmp;
-    {
-        TraceFileWriter w(tmp.path);
-        for (std::uint64_t i = 0; i < 3; ++i) {
-            TraceEvent ev;
-            ev.pc = 0x1000 + 4 * i;
-            w.onEvent(ev);
-        }
-        w.onFinish();
-    }
+    writeValidTrace(tmp.path, 3);
     ASSERT_EQ(std::filesystem::file_size(tmp.path),
               kTraceHeaderBytes + 3 * kTraceRecordBytes);
 
@@ -166,6 +234,74 @@ TEST(TraceIo, RejectsTruncatedRecord)
     EXPECT_THROW(replayTraceFile(tmp.path, partial), VmError);
     EXPECT_EQ(partial.total(), 1u);  // whole records before the cut
     EXPECT_THROW(TraceBuffer::load(tmp.path), VmError);
+}
+
+TEST(TraceIo, LoadRejectsOutOfRangeKindAndPhase)
+{
+    // A corrupt tag would index past every per-kind/per-phase array
+    // downstream, so decoding must refuse it and name the record.
+    TempFile tmp;
+    for (const std::size_t byte : {kKindByte, kPhaseByte}) {
+        writeValidTrace(tmp.path, 3);
+        ASSERT_EQ(TraceBuffer::load(tmp.path).size(), 3u);
+        pokeRecordByte(tmp.path, 1, byte, 0xff);
+        const std::string err =
+            vmErrorOf([&] { (void)TraceBuffer::load(tmp.path); });
+        EXPECT_EQ(err, std::string("vm: corrupt trace record at event 1: ")
+                           + (byte == kKindByte ? "kind" : "phase")
+                           + " tag 255 out of range");
+    }
+}
+
+TEST(TraceIo, ReplayRejectsOutOfRangeKindAndPhase)
+{
+    TempFile tmp;
+    // The first illegal value of each tag: Nop is a sentinel, not a
+    // stream kind (kNumNKinds counts the kinds before it).
+    for (const auto &[byte, tag] :
+         {std::pair{kKindByte, kNumNKinds},
+          std::pair{kPhaseByte, kNumPhases}}) {
+        writeValidTrace(tmp.path, 3);
+        pokeRecordByte(tmp.path, 2, byte,
+                       static_cast<std::uint8_t>(tag));
+        CountingSink count;
+        const std::string err =
+            vmErrorOf([&] { (void)replayTraceFile(tmp.path, count); });
+        EXPECT_NE(err.find("corrupt trace record at event 2"),
+                  std::string::npos)
+            << err;
+        EXPECT_EQ(count.total(), 2u);  // the records before the bad one
+    }
+}
+
+TEST(TraceIo, ThrowingSinkClosesTheFile)
+{
+    TempFile tmp;
+    writeValidTrace(tmp.path, 3);
+    const long before = openFds();
+    if (before < 0)
+        GTEST_SKIP() << "/proc/self/fd not available";
+    ThrowingSink sink;
+    EXPECT_THROW((void)replayTraceFile(tmp.path, sink),
+                 std::runtime_error);
+    EXPECT_EQ(openFds(), before);
+}
+
+TEST(TraceIo, FailedFinalFlushThrows)
+{
+    if (!std::filesystem::exists("/dev/full"))
+        GTEST_SKIP() << "/dev/full not available";
+    // A stream shorter than stdio's buffer: every fwrite succeeds and
+    // only the final flush reaches the full device.
+    TraceFileWriter w("/dev/full");
+    TraceEvent ev;
+    ev.kind = NKind::IntAlu;
+    for (int i = 0; i < 3; ++i)
+        w.onEvent(ev);
+    const std::string err = vmErrorOf([&] { w.onFinish(); });
+    EXPECT_NE(err.find("trace write failed: /dev/full"),
+              std::string::npos)
+        << err;
 }
 
 } // namespace
