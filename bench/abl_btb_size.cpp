@@ -8,9 +8,9 @@
  * targets, so its misprediction rate barely moves with BTB size —
  * the miss is target interference, not capacity.
  *
- * Runs on the sweep engine: the four BTB capacities share one
- * recording per (workload, mode), and streams replay in parallel
- * across `--jobs` workers.
+ * Runs on the sweep engine: the four BTB capacities share one VM run
+ * per (workload, mode), and streams run in parallel across `--jobs`
+ * workers.
  */
 #include "bench_util.h"
 #include "sweep/grids.h"

@@ -8,9 +8,10 @@
  * of all families. (The C/C++ rows are the paper's reported values —
  * external baselines there too.)
  *
- * Runs on the sweep engine (`--jobs N`): both execution modes of a
- * workload reuse recordings that any co-resident sweep (fig07/fig08,
- * via --cache-dir or the `all` grid) already produced.
+ * Runs on the sweep engine (`--jobs N`): one live VM run per
+ * (workload, mode); with --cache-dir the streams are recorded instead,
+ * and reused by any later sweep (fig07/fig08, the `all` grid) on the
+ * same directory.
  */
 #include "bench_util.h"
 #include "harness/paper_data.h"

@@ -7,10 +7,13 @@
  * step from direct-mapped to 2-way.
  *
  * This bench runs on the sweep engine: each (workload, mode) stream
- * is recorded once and replayed into the four associativity models,
- * with streams processed in parallel across `--jobs` workers.
- * `--compare-serial` also runs the pre-sweep implementation (live VM
- * run per point) and checks the two produce bit-identical miss rates.
+ * is produced once and feeds the four associativity models (live,
+ * unless --cache-dir or a profiler flag makes the groups record), with
+ * streams processed in parallel across `--jobs` workers.
+ * `--compare-serial` also runs the grid again on a shared trace cache
+ * (record-then-replay) and the pre-sweep implementation (one live VM
+ * run per stream, fanned out serially), and checks all three produce
+ * bit-identical miss rates.
  */
 #include "arch/cache/cache.h"
 #include "bench_util.h"
@@ -144,20 +147,24 @@ main(int argc, char **argv)
         result.writeJson(args.json);
 
     if (args.compareSerial) {
-        // Warm pass: every stream is now in the engine's in-process
-        // cache, so this measures the pure replay-many path.
-        const sweep::SweepResult warm =
-            engine.run(sweep::buildFig07Grid());
+        // Recorded pass: an explicit shared trace cache makes every
+        // group record its stream and replay it, so the check covers
+        // the record-then-replay path as well as the live one above.
+        sweep::SweepOptions recordedOpts;
+        recordedOpts.jobs = args.jobs;
+        recordedOpts.cache = std::make_shared<sweep::TraceCache>();
+        const sweep::SweepResult recorded =
+            sweep::SweepEngine(recordedOpts).run(sweep::buildFig07Grid());
         const SerialBaseline serial = runSerialBaseline();
         const bool same =
-            identical(serial, result) && identical(serial, warm);
+            identical(serial, result) && identical(serial, recorded);
         std::cout << "\nserial " << fixed(serial.seconds, 2)
                   << "s | sweep cold " << fixed(result.wallSeconds, 2)
                   << "s (" << fixed(serial.seconds
                                         / result.wallSeconds, 2)
-                  << "x) | sweep warm " << fixed(warm.wallSeconds, 2)
-                  << "s (" << fixed(serial.seconds / warm.wallSeconds,
-                                    2)
+                  << "x) | sweep recorded "
+                  << fixed(recorded.wallSeconds, 2) << "s ("
+                  << fixed(serial.seconds / recorded.wallSeconds, 2)
                   << "x) | results bit-identical: "
                   << (same ? "yes" : "NO") << '\n';
         if (!same) {

@@ -8,10 +8,10 @@
  * (methods average under 16 bytecode bytes, so longer lines fetch
  * little useful data), while JIT mode prefers 32-64B (object sizes).
  *
- * Runs on the sweep engine — one recording per (workload, mode),
- * replayed into the four line-size models, streams in parallel across
- * `--jobs` workers. See fig07_associativity.cpp for the
- * `--compare-serial` semantics.
+ * Runs on the sweep engine — one VM run per (workload, mode) feeding
+ * the four line-size models, streams in parallel across `--jobs`
+ * workers. See fig07_associativity.cpp for the `--compare-serial`
+ * semantics.
  */
 #include "arch/cache/cache.h"
 #include "bench_util.h"
@@ -158,18 +158,24 @@ main(int argc, char **argv)
         result.writeJson(args.json);
 
     if (args.compareSerial) {
-        const sweep::SweepResult warm =
-            engine.run(sweep::buildFig08Grid());
+        // Recorded pass: an explicit shared trace cache makes every
+        // group record its stream and replay it, so the check covers
+        // the record-then-replay path as well as the live one above.
+        sweep::SweepOptions recordedOpts;
+        recordedOpts.jobs = args.jobs;
+        recordedOpts.cache = std::make_shared<sweep::TraceCache>();
+        const sweep::SweepResult recorded =
+            sweep::SweepEngine(recordedOpts).run(sweep::buildFig08Grid());
         const SerialBaseline serial = runSerialBaseline();
         const bool same =
-            identical(serial, result) && identical(serial, warm);
+            identical(serial, result) && identical(serial, recorded);
         std::cout << "\nserial " << fixed(serial.seconds, 2)
                   << "s | sweep cold " << fixed(result.wallSeconds, 2)
                   << "s (" << fixed(serial.seconds
                                         / result.wallSeconds, 2)
-                  << "x) | sweep warm " << fixed(warm.wallSeconds, 2)
-                  << "s (" << fixed(serial.seconds / warm.wallSeconds,
-                                    2)
+                  << "x) | sweep recorded "
+                  << fixed(recorded.wallSeconds, 2) << "s ("
+                  << fixed(serial.seconds / recorded.wallSeconds, 2)
                   << "x) | results bit-identical: "
                   << (same ? "yes" : "NO") << '\n';
         if (!same) {

@@ -7,9 +7,11 @@
  *
  *   --jobs N           worker threads (default: hardware concurrency)
  *   --json FILE        write the SweepResult as JSON
- *   --cache-dir DIR    on-disk trace cache; a second invocation with
- *                      the same DIR replays recorded streams instead
- *                      of re-running the VM
+ *   --cache-dir DIR    on-disk trace cache; groups record their
+ *                      streams there, and a second invocation with the
+ *                      same DIR replays them instead of re-running the
+ *                      VM (without it, groups run live and keep no
+ *                      stream)
  *   --quiet            suppress the per-point table
  *   --progress         live progress line on stderr (points done,
  *                      recordings/hits/loads from the metric registry)
@@ -39,9 +41,10 @@
  *                      private translation, only host-side translate
  *                      work is saved
  *   --compare-serial   after the sweep, re-run the grid serially
- *                      (jobs=1, private translation, fresh in-memory
- *                      trace cache) and fail unless every point's
- *                      metrics match bit-for-bit
+ *                      (jobs=1, private translation, every stream
+ *                      recorded into a fresh in-memory trace cache and
+ *                      replayed) and fail unless every point's events
+ *                      and metrics match bit-for-bit
  *
  * Examples:
  *   jrs_sweep fig07 --jobs 8 --progress
@@ -207,12 +210,16 @@ main(int argc, char **argv)
 
     bool comparisonOk = true;
     if (compareSerial) {
-        // Reference run: one worker, private translation, fresh
-        // in-memory trace cache — every stream is re-recorded from
-        // scratch. Any difference from the (possibly shared-cache,
-        // parallel, disk-cached) sweep above is a determinism bug.
+        // Reference run: one worker, private translation, and an
+        // explicit fresh in-memory trace cache, so every stream is
+        // re-recorded from scratch and replayed. The sweep above ran
+        // its groups live unless a cache directory or profiler made
+        // them record, so this checks live against record-then-replay
+        // as well as parallel against serial. Any difference is a
+        // determinism bug.
         sweep::SweepOptions serialOpts;
         serialOpts.jobs = 1;
+        serialOpts.cache = std::make_shared<sweep::TraceCache>();
         sweep::SweepEngine serialEngine(serialOpts);
         const sweep::SweepResult serial = serialEngine.run(points);
         std::size_t mismatches = 0;

@@ -91,6 +91,13 @@ CopyingCollector::collect(GcContext &ctx, GcStats &stats)
         return it == fwd.end() ? 0 : seg::kHeap + it->second;
     });
 
+    // The vacated space is the mutator's next to-space. Zero its used
+    // extent now: the allocator promises zeroed objects, and the bump
+    // path past the next flip's survivors would otherwise hand out
+    // stale field bytes and ref bits. Pages past the extent were never
+    // touched and are still zero.
+    heap.clearRange(heap.windowBase(),
+                    heap.windowCursor() - heap.windowBase());
     heap.resetWindow(toBase, toCursor, spaceLimit(to));
     active_ = to;
 

@@ -2,18 +2,17 @@
 
 namespace jrs {
 
-RunResult
-runWorkload(const RunSpec &spec)
-{
-    if (spec.workload == nullptr)
-        throw VmError("RunSpec without workload");
-    const Program prog = spec.workload->build();
+namespace {
 
+/** The engine configuration @p spec asks for, feeding @p sink. */
+EngineConfig
+engineConfig(const RunSpec &spec, TraceSink *sink)
+{
     EngineConfig cfg;
     cfg.policy = spec.policy ? spec.policy
                              : std::make_shared<AlwaysCompilePolicy>();
     cfg.syncKind = spec.syncKind;
-    cfg.sink = spec.sink;
+    cfg.sink = sink;
     cfg.quantum = spec.quantum;
     cfg.gc = spec.gc;
     cfg.heapBytes = spec.heapBytes;
@@ -21,8 +20,23 @@ runWorkload(const RunSpec &spec)
     cfg.osrBackEdgeThreshold = spec.osrBackEdgeThreshold;
     cfg.sharedCodeCache = spec.sharedCache;
     cfg.sharedProgramKey = spec.workload->name;
+    return cfg;
+}
 
-    ExecutionEngine engine(prog, cfg);
+/**
+ * Build @p spec's program, run it on an engine feeding @p sink, and
+ * hand the finished engine to @p after (while it is still alive) so
+ * callers can capture engine state. Throws VmError when the run does
+ * not complete cleanly.
+ */
+template <class AfterFn>
+RunResult
+runEngine(const RunSpec &spec, TraceSink *sink, AfterFn &&after)
+{
+    if (spec.workload == nullptr)
+        throw VmError("RunSpec without workload");
+    const Program prog = spec.workload->build();
+    ExecutionEngine engine(prog, engineConfig(spec, sink));
     const std::int32_t arg =
         spec.arg != 0 ? spec.arg : spec.workload->smallArg;
     RunResult res = engine.run(arg);
@@ -33,51 +47,35 @@ runWorkload(const RunSpec &spec)
                              ? res.uncaughtException
                              : "unknown"));
     }
+    after(engine);
     return res;
+}
+
+} // namespace
+
+RunResult
+runWorkload(const RunSpec &spec)
+{
+    return runEngine(spec, spec.sink, [](ExecutionEngine &) {});
 }
 
 RecordedRun
 recordWorkload(const RunSpec &spec)
 {
-    if (spec.workload == nullptr)
-        throw VmError("RunSpec without workload");
     auto buffer = std::make_shared<TraceBuffer>();
     MultiSink fanout;
     fanout.add(buffer.get());
     if (spec.sink != nullptr)
         fanout.add(spec.sink);
 
-    // Inlined runWorkload: the engine must stay alive after run() so
-    // the method map (registry + code cache ranges) can be captured.
-    const Program prog = spec.workload->build();
-    EngineConfig cfg;
-    cfg.policy = spec.policy ? spec.policy
-                             : std::make_shared<AlwaysCompilePolicy>();
-    cfg.syncKind = spec.syncKind;
-    cfg.sink = &fanout;
-    cfg.quantum = spec.quantum;
-    cfg.gc = spec.gc;
-    cfg.heapBytes = spec.heapBytes;
-    cfg.codeCache = spec.codeCache;
-    cfg.osrBackEdgeThreshold = spec.osrBackEdgeThreshold;
-    cfg.sharedCodeCache = spec.sharedCache;
-    cfg.sharedProgramKey = spec.workload->name;
-    ExecutionEngine engine(prog, cfg);
-    const std::int32_t arg =
-        spec.arg != 0 ? spec.arg : spec.workload->smallArg;
-
     RecordedRun out;
-    out.result = engine.run(arg);
-    if (!out.result.completed) {
-        throw VmError(std::string(spec.workload->name)
-                      + " did not complete: "
-                      + (out.result.uncaughtException != nullptr
-                             ? out.result.uncaughtException
-                             : "unknown"));
-    }
+    out.result = runEngine(spec, &fanout, [&](ExecutionEngine &engine) {
+        // Captured before teardown: registry + code cache ranges.
+        out.methods = std::make_shared<obs::MethodMap>(
+            obs::MethodMap::forRun(engine.registry(),
+                                   engine.codeCache()));
+    });
     out.trace = std::move(buffer);
-    out.methods = std::make_shared<obs::MethodMap>(
-        obs::MethodMap::forRun(engine.registry(), engine.codeCache()));
     return out;
 }
 

@@ -45,8 +45,10 @@ struct RunSpec {
 
 /**
  * Build the workload's program, run it, and return the result.
- * Throws VmError when the run does not complete cleanly (benches and
- * tests should never tolerate a broken guest program).
+ * spec.sink (when set) observes the stream live, as the VM emits it;
+ * nothing is recorded. Throws VmError when the run does not complete
+ * cleanly (benches and tests should never tolerate a broken guest
+ * program).
  */
 RunResult runWorkload(const RunSpec &spec);
 

@@ -34,11 +34,16 @@ enum class NKind : std::uint8_t {
     Call,          ///< direct call
     IndirectCall,  ///< register-indirect call (virtual dispatch)
     Ret,           ///< return
-    Nop,
+    Nop,           ///< no-op; also a default-constructed event's kind
 };
 
-/** Number of distinct NKind values (for counting arrays). */
-inline constexpr std::size_t kNumNKinds = 14;
+/**
+ * Number of distinct NKind values (for counting arrays). Derived from
+ * the last enumerator, so every kind an event can carry — Nop, the
+ * default, included — indexes inside per-kind arrays.
+ */
+inline constexpr std::size_t kNumNKinds =
+    static_cast<std::size_t>(NKind::Nop) + 1;
 
 /** Human-readable name of an instruction kind. */
 const char *nkindName(NKind kind);

@@ -424,7 +424,7 @@ allGrids()
          "BTB capacity vs indirect-transfer misprediction",
          &buildBtbGrid},
         {"all",
-         "every cache/BTB grid above, sharing one recording per "
+         "every cache/BTB grid above, sharing one stream per "
          "(workload, mode)",
          &buildAllGrid},
         {"gc",

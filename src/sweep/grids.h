@@ -6,9 +6,9 @@
  * print the figures, the `jrs_sweep` CLI, and the tests — the figure
  * layout stays in the bench, the measurement matrix lives here.
  *
- * Grids deliberately reuse streams: "fig07" needs only one recording
- * per (workload, mode) for its four associativities, and "all" shares
- * the same 16 recordings across every cache/BTB experiment.
+ * Grids deliberately reuse streams: "fig07" needs only one VM run per
+ * (workload, mode) for its four associativities, and "all" shares the
+ * same 16 streams across every cache/BTB experiment.
  */
 #ifndef JRS_SWEEP_GRIDS_H
 #define JRS_SWEEP_GRIDS_H

@@ -1,5 +1,6 @@
 #include "sweep/sweep.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -33,9 +34,10 @@ metricCell(double v)
 }
 
 /**
- * Replay-side fan-out with per-subscriber fault isolation: a
- * subscriber whose sink throws is detached with the error recorded,
- * and delivery to the others continues.
+ * A group's fan-out (fed live by the VM or by a replay) with
+ * per-subscriber fault isolation: a subscriber whose sink throws is
+ * detached with the error recorded, and delivery to the others
+ * continues.
  */
 class GuardedFanout : public TraceSink {
   public:
@@ -269,6 +271,11 @@ SweepEngine::run(const std::vector<SweepPoint> &grid)
         }
     }
 
+    // Groups may run live only when nothing outside them needs the
+    // recording: a private cache without a directory, no observer.
+    const bool liveAllowed = options_.cache == nullptr
+        && options_.cacheDir.empty() && !options_.groupObserver;
+
     auto fail = [&](std::size_t idx, const std::string &why) {
         result.points[idx].ok = false;
         result.points[idx].error = why;
@@ -317,25 +324,38 @@ SweepEngine::run(const std::vector<SweepPoint> &grid)
 
     auto runGroup = [&](const std::vector<std::size_t> &members) {
         const auto g0 = std::chrono::steady_clock::now();
-
-        // Obtain the stream first (recording on first use, loading a
-        // prior recording from disk, or waiting on another worker):
-        // sink factories receive the recording, so they can only be
-        // built once it exists.
+        const SweepPoint &head = grid[members[0]];
         const std::string &keyStr = result.points[members[0]].traceKey;
-        std::shared_ptr<const RecordedRun> run;
-        try {
-            obs::ScopedSpan span("sweep.acquire", "sweep");
-            span.arg("trace", keyStr);
-            run = cache_->get(grid[members[0]].key);
-        } catch (const std::exception &e) {
-            for (const std::size_t idx : members) {
-                if (result.points[idx].error.empty())
-                    fail(idx,
-                         std::string("recording failed: ") + e.what());
-            }
+        const bool live = liveAllowed
+            && std::all_of(members.begin(), members.end(),
+                           [&](std::size_t idx) {
+                               return grid[idx].runFree;
+                           });
+        auto failGroup = [&](const std::exception &e) {
+            for (const std::size_t idx : members)
+                fail(idx, std::string("recording failed: ") + e.what());
             finishGroup(members);
-            return;
+        };
+
+        // Record-then-replay obtains the stream first (recording on
+        // first use, loading a prior recording from disk, or waiting
+        // on another worker): its sink factories receive the
+        // recording, so they can only be built once it exists. A live
+        // group's factories are run-free; they get a run that is
+        // filled in once the VM has finished.
+        std::shared_ptr<RecordedRun> liveRun;
+        std::shared_ptr<const RecordedRun> run;
+        if (live) {
+            run = liveRun = std::make_shared<RecordedRun>();
+        } else {
+            try {
+                obs::ScopedSpan span("sweep.acquire", "sweep");
+                span.arg("trace", keyStr);
+                run = cache_->get(head.key);
+            } catch (const std::exception &e) {
+                failGroup(e);
+                return;
+            }
         }
 
         // Build each member's sink; a throwing factory poisons only
@@ -356,13 +376,13 @@ SweepEngine::run(const std::vector<SweepPoint> &grid)
             }
         }
 
-        // The optional group observer rides the fan-out after every
-        // point sink; its failures never reach the points.
+        // The optional group observer (never set on a live group)
+        // rides the fan-out after every point sink; its failures never
+        // reach the points.
         std::unique_ptr<TraceSink> observer;
         if (options_.groupObserver) {
             try {
-                observer = options_.groupObserver(
-                    grid[members[0]].key, *run);
+                observer = options_.groupObserver(head.key, *run);
             } catch (const std::exception &) {
                 observer.reset();
             }
@@ -371,10 +391,21 @@ SweepEngine::run(const std::vector<SweepPoint> &grid)
         }
         GuardedFanout fanout(std::move(subs));
 
-        // Replay into the group's sinks. Acquire and replay are
-        // separate passes so a span view shows both stages on every
-        // worker lane; the events delivered are identical either way.
-        {
+        if (live) {
+            // The VM feeds the fan-out directly; nothing is recorded.
+            try {
+                obs::ScopedSpan span("sweep.live", "sweep");
+                span.arg("trace", keyStr);
+                span.arg("sinks",
+                         std::to_string(fanout.subscribers().size()));
+                liveRun->result = cache_->runLive(head.key, fanout);
+            } catch (const std::exception &e) {
+                failGroup(e);
+                return;
+            }
+        } else {
+            // Acquire and replay are separate passes so a span view
+            // shows both stages on every worker lane.
             obs::ScopedSpan span("sweep.replay", "sweep");
             span.arg("trace", keyStr);
             span.arg("sinks",
@@ -388,7 +419,7 @@ SweepEngine::run(const std::vector<SweepPoint> &grid)
             const std::size_t m = subMember[s];
             const std::size_t idx = members[m];
             PointResult &slot = result.points[idx];
-            slot.traceEvents = run->trace->size();
+            slot.traceEvents = run->result.totalEvents;
             const auto e0 = std::chrono::steady_clock::now();
             if (fanout.subscribers()[s].dead) {
                 fail(idx, fanout.subscribers()[s].error);
@@ -409,8 +440,7 @@ SweepEngine::run(const std::vector<SweepPoint> &grid)
         if (observer != nullptr && options_.groupObserved
             && !fanout.subscribers().back().dead) {
             std::lock_guard<std::mutex> lock(observerMu);
-            options_.groupObserved(grid[members[0]].key, *run,
-                                   *observer);
+            options_.groupObserved(head.key, *run, *observer);
         }
         finishGroup(members);
     };

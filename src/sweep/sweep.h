@@ -2,33 +2,44 @@
  * @file
  * The parallel experiment-sweep engine.
  *
- * The paper's methodology is "record the dynamic native stream once
- * with Shade, then feed it to many offline architecture simulators".
- * This subsystem makes that workflow a first-class, parallel facility:
+ * The paper's methodology fed the dynamic native stream from Shade
+ * straight into many architecture simulators. This subsystem makes
+ * that workflow a first-class, parallel facility:
  *
  *  - A SweepPoint names one measurement: which dynamic stream it
  *    consumes (TraceKey) and how to model it (a sink factory plus a
  *    metric extractor).
- *  - SweepEngine groups points by stream, obtains each stream exactly
- *    once through a TraceCache (recording the single-threaded VM, or
- *    loading a previous recording from disk), replays it once into all
- *    of the group's sinks, and runs groups concurrently on a
- *    fixed-size worker pool.
+ *  - SweepEngine groups points by stream, so each stream is produced
+ *    once per sweep and feeds all of the group's sinks, and runs
+ *    groups concurrently on a fixed-size worker pool. A group runs in
+ *    one of two ways:
+ *      - live: the (single-threaded) VM feeds the group's sinks
+ *        directly and nothing is recorded. Taken when every member's
+ *        factory is run-free (SweepPoint::runFree), there is no group
+ *        observer, no cache directory, and the engine's TraceCache is
+ *        private. This is the cold path of every figure sweep.
+ *      - record-then-replay: the group obtains the stream through the
+ *        TraceCache (recording the VM, loading a previous recording
+ *        from disk, or sharing another engine's recording), builds the
+ *        sinks with the recording in hand, and replays it once into
+ *        all of them.
  *  - SweepResult returns per-point metrics in grid order with wall
  *    times, and renders to a support/table.h table or stable JSON.
  *
- * Contract: because the VM itself stays single-threaded and only trace
- * recording/replay is distributed over workers, every metric is
- * bit-identical to attaching the same sink to a live serial run
- * (tests/test_sweep.cpp asserts this). A point whose sink factory,
- * sink, or extractor throws poisons only its own result slot; the rest
- * of the sweep completes.
+ * Contract: because the VM itself stays single-threaded and only
+ * groups are distributed over workers, every metric and event count is
+ * bit-identical between the two paths and to attaching the same sink
+ * to a live serial run (tests/test_sweep.cpp asserts this). A point
+ * whose sink factory, sink, or extractor throws poisons only its own
+ * result slot, with the same message on either path; a VM run that
+ * fails poisons every point of its group ("recording failed: ...").
+ * The rest of the sweep completes.
  *
  * Observability: when jrs::obs is enabled the engine publishes sweep.*
  * metrics (points/groups done, per-point wall-time histogram, queue
- * depth) and emits acquire/replay/extract spans on named
- * "sweep-worker-N" lanes, so a trace view shows how recording and
- * replay overlap across workers. Metrics are read from simulator
+ * depth) and emits acquire/replay/extract spans (live/extract for
+ * live groups) on named "sweep-worker-N" lanes, so a trace view shows
+ * how groups overlap across workers. Metrics are read from simulator
  * state, never fed back into it: results are bit-identical whether
  * observability is on or off. SweepOptions::onProgress delivers a
  * SweepProgress snapshot after every completed group.
@@ -62,16 +73,26 @@ struct SweepPoint {
     TraceKey key;
     /**
      * Build the model sink on the worker thread. Called once per
-     * point, after the stream is available: the factory receives the
-     * recording it will observe, so sinks can consume run context
-     * (e.g. RecordedRun::methods for attribution) before replay.
+     * point. On the record-then-replay path it runs after the stream
+     * is available and receives the recording it will observe, so
+     * sinks can consume run context (e.g. RecordedRun::methods for
+     * attribution) before replay.
      */
     std::function<std::unique_ptr<TraceSink>(const RecordedRun &)>
         makeSink;
     /**
+     * True when makeSink ignores its RecordedRun argument, so the sink
+     * can be built before the VM runs and fed live (see file comment).
+     * makePoint() sets it from the factory's signature; a point that
+     * installs its own makeSink must leave it false unless that
+     * factory never reads the run.
+     */
+    bool runFree = false;
+    /**
      * Pull metrics out of the finished sink. @p sink is the object
-     * makeSink returned; @p run is the recording it observed (its
-     * RunResult is reduced for disk-loaded streams, see TraceCache).
+     * makeSink returned; @p run is the run it observed. Its RunResult
+     * is reduced for disk-loaded streams (see TraceCache), and its
+     * trace and methods are null when the group ran live.
      */
     std::function<std::vector<Metric>(TraceSink &sink,
                                       const RecordedRun &run)>
@@ -81,22 +102,25 @@ struct SweepPoint {
 /**
  * Build a SweepPoint without the TraceSink downcast boilerplate: the
  * factory returns the concrete sink type and the extractor receives
- * it back as that type. The factory may take either no arguments or
- * `const RecordedRun &` (when the sink needs run context, e.g. the
- * method map).
+ * it back as that type. The factory may take either no arguments
+ * (a run-free point, which can run live) or `const RecordedRun &`
+ * (when the sink needs run context, e.g. the method map, which forces
+ * its group to record).
  */
 template <class SinkT, class MakeFn, class ExtractFn>
 SweepPoint
 makePoint(std::string label, TraceKey key, MakeFn make,
           ExtractFn extract)
 {
+    constexpr bool readsRun =
+        std::is_invocable_v<MakeFn, const RecordedRun &>;
     SweepPoint p;
     p.label = std::move(label);
     p.key = std::move(key);
+    p.runFree = !readsRun;
     p.makeSink = [make = std::move(make)](const RecordedRun &run)
         -> std::unique_ptr<TraceSink> {
-        if constexpr (std::is_invocable_v<MakeFn,
-                                          const RecordedRun &>) {
+        if constexpr (readsRun) {
             return make(run);
         } else {
             (void)run;
@@ -117,10 +141,10 @@ struct PointResult {
     bool ok = false;
     std::string error;            ///< set when !ok
     std::vector<Metric> metrics;
-    std::uint64_t traceEvents = 0;
+    std::uint64_t traceEvents = 0;  ///< RunResult::totalEvents
     /**
      * Wall time attributed to this point: its extractor plus an equal
-     * share of its group's record/load + replay time.
+     * share of its group's live run, or record/load + replay time.
      */
     double seconds = 0.0;
 
@@ -174,11 +198,17 @@ struct SweepOptions {
     /** Worker threads; 0 = std::thread::hardware_concurrency(). */
     unsigned jobs = 0;
     /**
-     * Trace store shared with other engines/runs; null = private to
-     * this engine (streams are still recorded only once per engine).
+     * Trace store shared with other engines/runs: every group records
+     * (once per key across all of them) and replays, so later sweeps
+     * on the same cache are pure replay. Null = a store private to
+     * this engine, which lets run-free groups run live and keep no
+     * stream (see file comment).
      */
     std::shared_ptr<TraceCache> cache;
-    /** On-disk cache directory for a private cache ("" = memory only). */
+    /**
+     * On-disk cache directory for a private cache ("" = memory only).
+     * Set, every group records so the next process can load it.
+     */
     std::string cacheDir;
     /**
      * Process-wide shared translation cache (vm/jit/shared_cache.h):
@@ -198,7 +228,9 @@ struct SweepOptions {
     std::function<void(const SweepProgress &)> onProgress;
     /**
      * Build one extra observer sink per trace group (may return null
-     * to skip a group). The observer rides the group's replay fan-out
+     * to skip a group). Set, every group records, because observers
+     * read the recording's method map. The observer rides the group's
+     * replay fan-out
      * after every point sink, so it sees the identical stream without
      * touching any point's model or metrics — results stay
      * bit-identical with or without it. A throwing factory or a

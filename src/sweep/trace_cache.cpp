@@ -226,9 +226,28 @@ readMethods(const std::string &path)
 
 } // namespace
 
+RunSpec
+TraceCache::runSpecFor(const TraceKey &key) const
+{
+    RunSpec spec = key.toRunSpec();
+    std::lock_guard<std::mutex> lock(mu_);
+    spec.sharedCache = shared_;
+    return spec;
+}
+
+void
+TraceCache::countRun(const RunResult &result)
+{
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        ++stats_.recordings;
+        stats_.translateBuildNs += result.translateBuildNs;
+    }
+    obs::count("trace_cache.recordings");
+}
+
 std::shared_ptr<const RecordedRun>
-TraceCache::produce(const TraceKey &key, TraceSink *liveObserver,
-                    bool *observedLive)
+TraceCache::produce(const TraceKey &key)
 {
     const std::string keyStr = key.str();
     if (!dir_.empty()) {
@@ -263,21 +282,9 @@ TraceCache::produce(const TraceKey &key, TraceSink *liveObserver,
 
     obs::ScopedSpan span("trace.record", "sweep");
     span.arg("key", keyStr);
-    RunSpec spec = key.toRunSpec();
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        spec.sharedCache = shared_;
-    }
-    spec.sink = liveObserver;
-    if (liveObserver != nullptr && observedLive != nullptr)
-        *observedLive = true;
-    auto run = std::make_shared<RecordedRun>(recordWorkload(spec));
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++stats_.recordings;
-        stats_.translateBuildNs += run->result.translateBuildNs;
-    }
-    obs::count("trace_cache.recordings");
+    auto run = std::make_shared<RecordedRun>(
+        recordWorkload(runSpecFor(key)));
+    countRun(run->result);
     if (!dir_.empty()) {
         const std::string base = dir_ + "/" + keyStr + ".jrstrace";
         run->trace->save(base);
@@ -289,11 +296,8 @@ TraceCache::produce(const TraceKey &key, TraceSink *liveObserver,
 }
 
 std::shared_ptr<const RecordedRun>
-TraceCache::get(const TraceKey &key, TraceSink *liveObserver,
-                bool *observedLive)
+TraceCache::get(const TraceKey &key)
 {
-    if (observedLive != nullptr)
-        *observedLive = false;
     const std::string keyStr = key.str();
     std::promise<std::shared_ptr<const RecordedRun>> promise;
     Entry mine = promise.get_future().share();
@@ -314,11 +318,21 @@ TraceCache::get(const TraceKey &key, TraceSink *liveObserver,
     if (!producer)
         return theirs.get();  // blocks until recorded; rethrows poison
     try {
-        promise.set_value(produce(key, liveObserver, observedLive));
+        promise.set_value(produce(key));
     } catch (...) {
         promise.set_exception(std::current_exception());
     }
     return mine.get();
+}
+
+RunResult
+TraceCache::runLive(const TraceKey &key, TraceSink &sink)
+{
+    RunSpec spec = runSpecFor(key);
+    spec.sink = &sink;
+    RunResult result = runWorkload(spec);
+    countRun(result);
+    return result;
 }
 
 void
@@ -333,14 +347,6 @@ TraceCache::stats() const
 {
     std::lock_guard<std::mutex> lock(mu_);
     return stats_;
-}
-
-void
-TraceCache::clear()
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    entries_.clear();
-    stats_ = Stats{};
 }
 
 } // namespace jrs::sweep

@@ -17,6 +17,12 @@
  * the sidecar (completed / exitValue / totalEvents) plus the method
  * map; profile tables and footprints exist only in the recording
  * process.
+ *
+ * runLive() is the other way to consume a key: the VM feeds a sink
+ * directly and nothing is stored. The sweep engine takes it for groups
+ * that need no recording (see sweep.h), so a cold sweep neither pays
+ * for nor holds the stream; a private in-memory cache therefore keeps
+ * only the streams that such groups could not avoid recording.
  */
 #ifndef JRS_SWEEP_TRACE_CACHE_H
 #define JRS_SWEEP_TRACE_CACHE_H
@@ -120,19 +126,19 @@ class TraceCache {
      * The recording for @p key; records/loads at most once per key.
      * Thread-safe. A failed recording poisons the key: every waiter
      * and later caller receives the original exception.
-     *
-     * When @p liveObserver is non-null and this call ends up
-     * producing the stream by running the VM, the observer is
-     * attached to that live run (saving the caller a replay pass) and
-     * @p observedLive is set to true. When the stream came from
-     * memory or disk instead, @p observedLive is false and the caller
-     * replays the returned trace. The observer must not throw; wrap
-     * fallible sinks (the sweep engine's replay fan-out guards
-     * per-sink).
      */
-    std::shared_ptr<const RecordedRun>
-    get(const TraceKey &key, TraceSink *liveObserver = nullptr,
-        bool *observedLive = nullptr);
+    std::shared_ptr<const RecordedRun> get(const TraceKey &key);
+
+    /**
+     * Run @p key's VM once with @p sink attached and record nothing:
+     * the live path. Neither reads nor fills the store, so every call
+     * runs the VM; it counts in Stats::recordings ("VM runs executed")
+     * and in the trace_cache.recordings metric. Thread-safe. Throws
+     * whatever the run throws (unknown workload, a guest that does not
+     * complete). @p sink must not throw; wrap fallible sinks (the
+     * sweep engine's fan-out guards each one).
+     */
+    RunResult runLive(const TraceKey &key, TraceSink &sink);
 
     /**
      * Route every VM run this cache performs through @p shared
@@ -150,15 +156,16 @@ class TraceCache {
     /** Directory backing this cache ("" = memory only). */
     const std::string &dir() const { return dir_; }
 
-    /** Drop all in-memory entries (disk files are kept). */
-    void clear();
-
   private:
     using Entry = std::shared_future<std::shared_ptr<const RecordedRun>>;
 
-    std::shared_ptr<const RecordedRun>
-    produce(const TraceKey &key, TraceSink *liveObserver,
-            bool *observedLive);
+    std::shared_ptr<const RecordedRun> produce(const TraceKey &key);
+
+    /** key.toRunSpec() routed through the shared translation cache. */
+    RunSpec runSpecFor(const TraceKey &key) const;
+
+    /** Count one VM run that built @p result. */
+    void countRun(const RunResult &result);
 
     std::string dir_;
     mutable std::mutex mu_;

@@ -1,6 +1,7 @@
 #include "vm/runtime/heap.h"
 
 #include <cstring>
+#include <new>
 
 namespace jrs {
 
@@ -21,11 +22,23 @@ makeHeader(ClassId cls, bool is_array, ArrayKind kind)
     return h;
 }
 
+/** @p n zeroed T from calloc (see the file comment in heap.h). */
+template <class T>
+T *
+zeroed(std::size_t n)
+{
+    void *p = std::calloc(n == 0 ? 1 : n, sizeof(T));
+    if (p == nullptr)
+        throw std::bad_alloc();
+    return static_cast<T *>(p);
+}
+
 } // namespace
 
 Heap::Heap(std::size_t capacity_bytes)
-    : storage_(capacity_bytes, 0),
-      refBits_((capacity_bytes / 4 + 63) / 64 + 1, 0),
+    : capacity_(capacity_bytes),
+      storage_(zeroed<std::uint8_t>(capacity_bytes)),
+      refBits_(zeroed<std::uint64_t>((capacity_bytes / 4 + 63) / 64 + 1)),
       cursor_(16),  // offset 0 reserved so a null ref is never valid
       allocLimit_(capacity_bytes)
 {
@@ -34,7 +47,7 @@ Heap::Heap(std::size_t capacity_bytes)
 std::size_t
 Heap::offsetOf(SimAddr addr) const
 {
-    if (addr < seg::kHeap || addr - seg::kHeap >= storage_.size())
+    if (addr < seg::kHeap || addr - seg::kHeap >= capacity_)
         throw VmError("heap access out of range");
     return static_cast<std::size_t>(addr - seg::kHeap);
 }
@@ -206,9 +219,19 @@ Heap::contentHash() const
 void
 Heap::clearRange(std::size_t off, std::size_t bytes)
 {
+    if (bytes == 0)
+        return;
     std::memset(&storage_[off], 0, bytes);
-    for (std::size_t o = off; o < off + bytes; o += 4)
-        setRefBit(o, false);
+    // Ref bits of every word the range overlaps; whole bitmap words
+    // at a time between the partial ends.
+    std::size_t w = off >> 2;
+    const std::size_t end = (off + bytes + 3) >> 2;
+    for (; w < end && (w & 63) != 0; ++w)
+        setRefBit(w << 2, false);
+    for (; w + 64 <= end; w += 64)
+        refBits_[w >> 6] = 0;
+    for (; w < end; ++w)
+        setRefBit(w << 2, false);
 }
 
 void
@@ -241,7 +264,7 @@ Heap::resetWindow(std::size_t base, std::size_t cursor,
                   std::size_t limit)
 {
     if (base < 16 || cursor < base || limit < cursor
-        || limit > storage_.size())
+        || limit > capacity_)
         throw VmError("bad heap allocation window");
     allocBase_ = base;
     cursor_ = cursor;

@@ -23,11 +23,20 @@
  *    linear sweep can always parse the arena;
  *  - an allocation window for the semispace copying collector (each
  *    space is half the arena; resetWindow() flips them).
+ *
+ * The arena and the ref bitmap are calloc'd: large blocks come straight
+ * from the kernel's zero pages, so an engine pays only for the pages
+ * its program touches, not for zero-filling the whole capacity up
+ * front. Every path that hands memory back to the mutator (the free
+ * list, the semispace flip) clears it with clearRange() first, so
+ * allocations stay zeroed.
  */
 #ifndef JRS_VM_RUNTIME_HEAP_H
 #define JRS_VM_RUNTIME_HEAP_H
 
 #include <cstdint>
+#include <cstdlib>
+#include <memory>
 #include <vector>
 
 #include "isa/address_map.h"
@@ -81,7 +90,7 @@ class Heap {
     std::uint64_t allocationCount() const { return allocCount_; }
 
     /** Arena capacity in bytes. */
-    std::size_t capacity() const { return storage_.size(); }
+    std::size_t capacity() const { return capacity_; }
 
     /** True when an allocation of @p bytes would succeed right now. */
     bool canAllocate(std::size_t bytes) const;
@@ -228,8 +237,13 @@ class Heap {
     SimAddr bump(std::size_t bytes);
     void writeFiller(std::size_t off, std::size_t size);
 
-    std::vector<std::uint8_t> storage_;
-    std::vector<std::uint64_t> refBits_;
+    struct Free {
+        void operator()(void *p) const { std::free(p); }
+    };
+
+    std::size_t capacity_;
+    std::unique_ptr<std::uint8_t[], Free> storage_;
+    std::unique_ptr<std::uint64_t[], Free> refBits_;
     std::size_t cursor_;
     std::size_t allocBase_ = 16;
     std::size_t allocLimit_;

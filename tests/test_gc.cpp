@@ -14,7 +14,9 @@
  *    GC-less design: same instruction stream, same raw heap hash,
  *    zero Phase::Gc events;
  *  - collector pauses are bracketed in Call...Ret at kGcPc, which is
- *    what the sweep grid's pause accounting relies on.
+ *    what the sweep grid's pause accounting relies on;
+ *  - objects allocated in a reused semispace are zeroed: no field
+ *    bytes or ref bits survive from the space's previous use.
  */
 #include <gtest/gtest.h>
 
@@ -379,6 +381,64 @@ TEST(LiveDigest, StableAcrossCopyingRelocation)
     // Evacuate again: every address changes, the digest does not.
     cp.engine->gcController()->collectNow();
     EXPECT_EQ(cp.engine->liveHeapHash(), reference);
+}
+
+// --- semispace reuse --------------------------------------------------------
+
+/**
+ * Churn `arg` Nodes whose fields are all written (val = 0x55, next =
+ * itself), then allocate one more and return the raw bits of its two
+ * fields, which the guest never writes: 0 when allocation is zeroed.
+ */
+Program
+staleFieldProgram()
+{
+    return makeProgramFull([](ProgramBuilder &pb) {
+        declareNode(pb);
+        ClassBuilder &t = pb.cls("T");
+        MethodBuilder &m =
+            t.staticMethod("main", {VType::Int}, VType::Int);
+        m.locals(6);
+        const Label loop = m.newLabel();
+        const Label done = m.newLabel();
+        m.iconst(0).istore(4);
+        m.bind(loop);
+        m.iload(4).iload(0).ifIcmpge(done);
+        m.newObject("Node").astore(2);
+        m.aload(2).iconst(0x55).putFieldI("Node.val");
+        m.aload(2).aload(2).putFieldA("Node.next");
+        m.iinc(4, 1);
+        m.gotoL(loop);
+        m.bind(done);
+        m.newObject("Node").astore(3);
+        m.aload(3).getFieldI("Node.val");
+        m.aload(3).getFieldI("Node.next").iadd();
+        m.ireturn();
+    });
+}
+
+TEST(Copying, ReusedSemispaceHandsOutZeroedObjects)
+{
+    // A collection before every allocation: each Node lands just past
+    // the survivors of a space that held an earlier, fully written
+    // Node at the same offset two flips ago.
+    GcRun run = runGc(
+        staleFieldProgram(),
+        interpConfig(forcedGc(gc::CollectorKind::Copying, 1)), 6);
+    ASSERT_TRUE(run.result.completed);
+    EXPECT_GE(run.result.gcStats.collections, 3u);
+    EXPECT_EQ(run.result.exitValue, 0);
+
+    // The fresh Node is the last allocation (16 bytes: header,
+    // lockword, two fields). Neither its field bytes nor the ref bit
+    // of its `next` slot may survive from the space's previous use.
+    const Heap &heap = run.engine->heap();
+    const SimAddr obj = seg::kHeap + heap.windowCursor() - 16;
+    EXPECT_FALSE(heap.isArray(obj));
+    for (std::uint16_t slot = 0; slot < 2; ++slot) {
+        EXPECT_EQ(heap.loadU32(Heap::fieldAddr(obj, slot)), 0u) << slot;
+        EXPECT_FALSE(heap.refSlot(Heap::fieldAddr(obj, slot))) << slot;
+    }
 }
 
 // --- workload digest invariance -------------------------------------------

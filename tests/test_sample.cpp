@@ -31,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "arch/mix/instruction_mix.h"
 #include "arch/pipeline/pipeline.h"
 #include "harness/experiment.h"
 #include "isa/address_map.h"
@@ -503,6 +504,48 @@ TEST(Sampler, JitteredGapStaysInBounds)
         ASSERT_GE(prof::jitteredGap(prng, 0), 1u);
     for (int i = 0; i < 100; ++i)
         ASSERT_GE(prof::jitteredGap(prng, 1), 1u);
+}
+
+TEST(Kinds, DefaultEventIndexesInsideEveryPerKindArray)
+{
+    // A default-constructed event carries NKind::Nop, and the sampler's
+    // cycle clock starts with Nop as the "last" kind. Live streams skip
+    // the JRSTRACE decode check, so every per-kind array must have a
+    // slot for it (AddressSanitizer reports the overflow otherwise).
+    static_assert(static_cast<std::size_t>(NKind::Nop) < kNumNKinds);
+    const TraceEvent ev{};
+    ASSERT_EQ(ev.kind, NKind::Nop);
+
+    InstructionMix mix;
+    CountingSink counted;
+    for (int i = 0; i < 3; ++i) {
+        mix.onEvent(ev);
+        counted.onEvent(ev);
+    }
+    EXPECT_EQ(mix.count(NKind::Nop), 3u);
+    EXPECT_EQ(mix.count(ev.phase, NKind::Nop), 3u);
+    EXPECT_EQ(mix.total(), 3u);
+    EXPECT_EQ(counted.total(), 3u);
+    EXPECT_EQ(counted.inPhase(ev.phase), 3u);
+
+    const obs::MethodMap none;
+    prof::SampleOptions eventClock;
+    eventClock.period = 1;
+    prof::SamplingProfiler byEvent(none, eventClock);
+    for (int i = 0; i < 3; ++i)
+        byEvent.onEvent(ev);
+    EXPECT_GT(byEvent.samples(), 0u);
+    EXPECT_EQ(byEvent.kindSamples(NKind::Nop), byEvent.samples());
+
+    // A retirement before any event samples with the initial kind.
+    prof::SampleOptions cycleClock = eventClock;
+    cycleClock.cycleClock = true;
+    prof::SamplingProfiler byCycle(none, cycleClock);
+    CpiSample retired;
+    retired.cycles[0] = 4;
+    byCycle.onRetire(retired);
+    EXPECT_GT(byCycle.samples(), 0u);
+    EXPECT_EQ(byCycle.kindSamples(NKind::Nop), byCycle.samples());
 }
 
 // EXPECT_EXIT bodies (macro arguments cannot hold brace-blocks with

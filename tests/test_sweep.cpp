@@ -1,13 +1,17 @@
 /**
  * @file
  * Sweep-engine contract tests: parallel results are bit-identical to
- * live serial runs, faults poison only their own point, and the trace
- * cache records each stream exactly once (memory and disk).
+ * live serial runs, live groups are bit-identical to recorded ones
+ * and are taken exactly when nothing needs the recording, faults
+ * poison only their own point (with the same message on both paths),
+ * and a shared trace cache records each stream exactly once (memory
+ * and disk).
  */
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <filesystem>
+#include <map>
 #include <stdexcept>
 
 #include "arch/bpred/predictors.h"
@@ -15,6 +19,7 @@
 #include "arch/pipeline/pipeline.h"
 #include "harness/experiment.h"
 #include "isa/trace_buffer.h"
+#include "sweep/grids.h"
 #include "sweep/sweep.h"
 #include "vm/runtime/vm_error.h"
 
@@ -136,6 +141,19 @@ liveSerialMetrics(const SweepPoint &p)
     return p.extract(*sink, run);
 }
 
+/** Sweep @p grid on a private engine (live) or a shared cache
+    (record-then-replay). */
+SweepResult
+sweepOn(const std::vector<SweepPoint> &grid, bool recorded,
+        unsigned jobs = 2)
+{
+    SweepOptions opts;
+    opts.jobs = jobs;
+    if (recorded)
+        opts.cache = std::make_shared<TraceCache>();
+    return SweepEngine(opts).run(grid);
+}
+
 TEST(Sweep, ParallelResultsBitIdenticalToLiveSerial)
 {
     const std::vector<SweepPoint> grid = mixedGrid();
@@ -222,20 +240,32 @@ TEST(Sweep, ThrowingSinkPoisonsOnlyItsPoint)
         [](ExplodingSink &, const RecordedRun &) {
             return std::vector<Metric>{};
         }));
+    grid.push_back(cachePoint("also-good", key, 4));
 
-    SweepEngine engine;
-    const SweepResult result = engine.run(grid);
+    // Live (private engine) and record-then-replay (shared cache)
+    // detach the sink at the same event with the same message.
+    const SweepResult live = sweepOn(grid, false);
+    const SweepResult recorded = sweepOn(grid, true);
+    for (const SweepResult *r : {&live, &recorded}) {
+        EXPECT_TRUE(r->points[0].ok);
+        EXPECT_TRUE(r->points[2].ok);
+        EXPECT_FALSE(r->points[1].ok);
+        EXPECT_EQ(r->points[1].error,
+                  "sink failed at event 100: sink exploded");
+    }
 
-    EXPECT_TRUE(result.points[0].ok);
-    EXPECT_FALSE(result.points[1].ok);
-    EXPECT_NE(result.points[1].error.find("sink exploded"),
-              std::string::npos)
-        << result.points[1].error;
-
-    // The surviving point still matches a live serial run.
-    const std::vector<Metric> serial = liveSerialMetrics(grid[0]);
-    ASSERT_EQ(result.points[0].metrics.size(), serial.size());
-    EXPECT_EQ(result.points[0].metrics[0].value, serial[0].value);
+    // The surviving points still match a live serial run.
+    for (const std::size_t i : {0u, 2u}) {
+        const std::vector<Metric> serial = liveSerialMetrics(grid[i]);
+        for (const SweepResult *r : {&live, &recorded}) {
+            ASSERT_EQ(r->points[i].metrics.size(), serial.size());
+            for (std::size_t m = 0; m < serial.size(); ++m) {
+                EXPECT_EQ(r->points[i].metrics[m].value,
+                          serial[m].value)
+                    << r->points[i].label << "." << serial[m].name;
+            }
+        }
+    }
 }
 
 TEST(Sweep, RecordingFailurePoisonsOnlyItsGroup)
@@ -266,7 +296,11 @@ TEST(Sweep, RecordsEachStreamOncePerProcess)
             "assoc" + std::to_string(assoc), key, assoc));
     }
 
-    SweepEngine engine;
+    // Record-once is a property of a shared cache: a private engine
+    // runs run-free groups live and keeps no stream.
+    SweepOptions opts;
+    opts.cache = std::make_shared<TraceCache>();
+    SweepEngine engine(opts);
     const SweepResult first = engine.run(grid);
     EXPECT_TRUE(first.allOk());
     EXPECT_EQ(first.traces.recordings, 1u);
@@ -393,6 +427,218 @@ TEST(Sweep, TraceBufferDiskRoundTripIsLossless)
               fromDisk.icache().stats().misses());
     EXPECT_EQ(fromOriginal.dcache().stats().misses(),
               fromDisk.dcache().stats().misses());
+}
+
+/** Every point of the named grids that replay-vs-live must agree on,
+    at tinyArg so the whole set stays within seconds. */
+std::vector<SweepPoint>
+tinyNamedGrids()
+{
+    std::vector<SweepPoint> grid;
+    for (const char *name :
+         {"fig04", "fig07", "fig08", "btb", "gc", "code_cache"}) {
+        const NamedGrid *g = findGrid(name);
+        EXPECT_NE(g, nullptr) << name;
+        for (SweepPoint &p : g->build()) {
+            p.key.arg = findWorkload(p.key.workload)->tinyArg;
+            grid.push_back(std::move(p));
+        }
+    }
+    return grid;
+}
+
+TEST(Sweep, LiveGroupsBitIdenticalToRecordedOverNamedGrids)
+{
+    const std::vector<SweepPoint> grid = tinyNamedGrids();
+    const SweepResult live = sweepOn(grid, false);
+    ASSERT_EQ(live.points.size(), grid.size());
+    EXPECT_TRUE(live.allOk());
+
+    // The recorded side runs one stream per engine: a shared cache
+    // keeps every stream it records until it is destroyed, and all of
+    // these together would take gigabytes.
+    std::vector<std::vector<std::size_t>> byKey;
+    {
+        std::map<std::string, std::size_t> slot;
+        for (std::size_t i = 0; i < grid.size(); ++i) {
+            auto [it, fresh] =
+                slot.try_emplace(grid[i].key.str(), byKey.size());
+            if (fresh)
+                byKey.emplace_back();
+            byKey[it->second].push_back(i);
+        }
+    }
+    std::vector<PointResult> recorded(grid.size());
+    std::uint64_t recordings = 0;
+    for (const std::vector<std::size_t> &members : byKey) {
+        std::vector<SweepPoint> batch;
+        for (const std::size_t i : members)
+            batch.push_back(grid[i]);
+        const SweepResult r = sweepOn(batch, true);
+        recordings += r.traces.recordings;
+        for (std::size_t j = 0; j < members.size(); ++j)
+            recorded[members[j]] = r.points[j];
+    }
+    // Both paths run the VM once per distinct stream.
+    EXPECT_EQ(live.traces.recordings, byKey.size());
+    EXPECT_EQ(recordings, byKey.size());
+
+    for (std::size_t i = 0; i < grid.size(); ++i) {
+        const PointResult &a = live.points[i];
+        const PointResult &b = recorded[i];
+        ASSERT_EQ(a.label, b.label);
+        EXPECT_TRUE(b.ok) << b.label << ": " << b.error;
+        EXPECT_GT(a.traceEvents, 0u) << a.label;
+        EXPECT_EQ(a.traceEvents, b.traceEvents) << a.label;
+        ASSERT_EQ(a.metrics.size(), b.metrics.size()) << a.label;
+        for (std::size_t m = 0; m < a.metrics.size(); ++m) {
+            EXPECT_EQ(a.metrics[m].name, b.metrics[m].name) << a.label;
+            EXPECT_EQ(a.metrics[m].value, b.metrics[m].value)
+                << a.label << "." << a.metrics[m].name;
+        }
+    }
+}
+
+/** Counting point that also reports whether it saw a recorded trace. */
+template <bool ReadsRun>
+SweepPoint
+probePoint(const std::string &label, const TraceKey &key)
+{
+    auto extract = [](CountingSink &sink, const RecordedRun &run) {
+        return std::vector<Metric>{
+            {"recorded", run.trace != nullptr ? 1.0 : 0.0},
+            {"events", static_cast<double>(sink.total())},
+        };
+    };
+    if constexpr (ReadsRun) {
+        return makePoint<CountingSink>(
+            label, key,
+            [](const RecordedRun &) {
+                return std::make_unique<CountingSink>();
+            },
+            extract);
+    } else {
+        return makePoint<CountingSink>(
+            label, key, [] { return std::make_unique<CountingSink>(); },
+            extract);
+    }
+}
+
+TEST(Sweep, GroupsRecordOnlyWhenSomethingNeedsTheRecording)
+{
+    TempDir dir("jrs_sweep_path_selection");
+    const TraceKey key = tinyKey("hello", ExecMode::interp());
+    const std::vector<SweepPoint> runFree = {
+        probePoint<false>("a", key), probePoint<false>("b", key)};
+    std::vector<SweepPoint> oneReadsRun = runFree;
+    oneReadsRun.push_back(probePoint<true>("c", key));
+    ASSERT_TRUE(runFree[0].runFree);
+    ASSERT_FALSE(oneReadsRun[2].runFree);
+
+    // A raw point that installs its own factory counts as reading it.
+    SweepPoint raw;
+    raw.label = "raw";
+    raw.key = key;
+    raw.makeSink =
+        [](const RecordedRun &) -> std::unique_ptr<TraceSink> {
+        return std::make_unique<CountingSink>();
+    };
+    raw.extract = runFree[0].extract;
+
+    const auto recorded = [](const SweepResult &r) {
+        EXPECT_TRUE(r.allOk());
+        EXPECT_EQ(r.traces.recordings, 1u);
+        bool all = true;
+        for (const PointResult &p : r.points) {
+            all = all && p.metric("recorded") == 1.0;
+            EXPECT_EQ(p.metric("events"),
+                      static_cast<double>(p.traceEvents));
+        }
+        return all;
+    };
+
+    // Private, run-free, unobserved, no directory: live.
+    const SweepResult live = SweepEngine{}.run(runFree);
+    EXPECT_TRUE(live.allOk());
+    EXPECT_EQ(live.traces.recordings, 1u);
+    for (const PointResult &p : live.points)
+        EXPECT_EQ(p.metric("recorded"), 0.0) << p.label;
+
+    EXPECT_TRUE(recorded(SweepEngine{}.run(oneReadsRun)));
+    EXPECT_TRUE(recorded(SweepEngine{}.run({raw})));
+    {
+        SweepOptions opts;
+        opts.groupObserver = [](const TraceKey &, const RecordedRun &) {
+            return std::make_unique<CountingSink>();
+        };
+        EXPECT_TRUE(recorded(SweepEngine(opts).run(runFree)));
+    }
+    {
+        SweepOptions opts;
+        opts.cacheDir = dir.path;
+        EXPECT_TRUE(recorded(SweepEngine(opts).run(runFree)));
+    }
+    {
+        SweepOptions opts;
+        opts.cache = std::make_shared<TraceCache>();
+        EXPECT_TRUE(recorded(SweepEngine(opts).run(runFree)));
+    }
+
+    // Each live sweep runs the VM again: nothing is kept.
+    SweepEngine engine;
+    (void)engine.run(runFree);
+    EXPECT_EQ(engine.run(runFree).traces.recordings, 1u);
+    EXPECT_EQ(engine.cache().stats().memoryHits, 0u);
+}
+
+/** Counts the events it sees into a counter that outlives it. */
+class TallySink : public TraceSink {
+  public:
+    explicit TallySink(std::shared_ptr<std::uint64_t> seen)
+        : seen_(std::move(seen)) {}
+    void onEvent(const TraceEvent &) override { ++*seen_; }
+
+  private:
+    std::shared_ptr<std::uint64_t> seen_;
+};
+
+TEST(Sweep, FailingVmPoisonsEveryMemberLiveAndRecorded)
+{
+    // A heap too small for compress: the VM fails mid-run, after the
+    // live sinks have already seen part of the stream.
+    TraceKey starved = tinyKey("compress", ExecMode::jit());
+    starved.heapBytes = 64 << 10;
+    const TraceKey fine = tinyKey("hello", ExecMode::interp());
+    auto seen = std::make_shared<std::uint64_t>(0);
+    std::vector<SweepPoint> grid;
+    grid.push_back(cachePoint("starved/c", starved, 1));
+    grid.push_back(bpredPoint("starved/b", starved));
+    grid.push_back(makePoint<TallySink>(
+        "starved/tally", starved,
+        [seen] { return std::make_unique<TallySink>(seen); },
+        [](TallySink &, const RecordedRun &) {
+            return std::vector<Metric>{};
+        }));
+    grid.push_back(cachePoint("starved/bad-factory", starved, 2));
+    grid[3].makeSink =
+        [](const RecordedRun &) -> std::unique_ptr<TraceSink> {
+        throw std::runtime_error("factory exploded");
+    };
+    grid.push_back(cachePoint("fine", fine, 1));
+
+    const SweepResult live = sweepOn(grid, false);
+    EXPECT_GT(*seen, 0u);
+    const SweepResult recorded = sweepOn(grid, true);
+    for (const SweepResult *r : {&live, &recorded}) {
+        EXPECT_TRUE(r->points[4].ok);
+        for (const std::size_t i : {0u, 1u, 2u, 3u}) {
+            const PointResult &p = r->points[i];
+            EXPECT_FALSE(p.ok) << p.label;
+            EXPECT_EQ(p.error.rfind("recording failed: ", 0), 0u)
+                << p.label << ": " << p.error;
+            EXPECT_EQ(p.error, recorded.points[i].error) << p.label;
+        }
+    }
 }
 
 TEST(Sweep, MalformedGridThrows)

@@ -256,8 +256,7 @@ TEST(TraceIo, LoadRejectsOutOfRangeKindAndPhase)
 TEST(TraceIo, ReplayRejectsOutOfRangeKindAndPhase)
 {
     TempFile tmp;
-    // The first illegal value of each tag: Nop is a sentinel, not a
-    // stream kind (kNumNKinds counts the kinds before it).
+    // The first illegal value of each tag.
     for (const auto &[byte, tag] :
          {std::pair{kKindByte, kNumNKinds},
           std::pair{kPhaseByte, kNumPhases}}) {
