@@ -106,7 +106,13 @@ main(int argc, char **argv)
         // (b) The exact profiler is the accuracy ground truth (and
         // the overhead ceiling sampling should undercut).
         prof::CctPipeline exact(PipelineConfig{}, rec.methods);
+        t0 = obs::steadyNow();
         rec.trace->replay(exact);
+        const double exactSeconds = obs::secondsSince(t0);
+        t.addRow({name, "exact", "-", "-", "-", "-", "-",
+                  fixed(pipeSeconds > 0 ? exactSeconds / pipeSeconds
+                                        : 0,
+                        2)});
 
         // (c) The period ladder.
         for (const std::uint64_t period : kPeriods) {

@@ -33,56 +33,7 @@ Cache::Cache(CacheConfig cfg)
     }
     lineShift_ = log2u(cfg.lineBytes);
     setMask_ = cfg.numSets() - 1;
-    sets_.resize(cfg.numSets());
-    for (auto &s : sets_)
-        s.reserve(cfg.assoc);
-}
-
-bool
-Cache::access(std::uint64_t addr, bool is_write, Phase phase)
-{
-    const std::uint64_t line = addr >> lineShift_;
-    const std::uint64_t tag = line | 0x8000'0000'0000'0000ull;  // valid
-    auto &set = sets_[static_cast<std::size_t>(line) & setMask_];
-
-    CacheStats &ps = perPhase_[static_cast<std::size_t>(phase)];
-    if (is_write) {
-        ++total_.writes;
-        ++ps.writes;
-    } else {
-        ++total_.reads;
-        ++ps.reads;
-    }
-
-    for (std::size_t i = 0; i < set.size(); ++i) {
-        if (set[i] == tag) {
-            // Hit: move to MRU position.
-            for (std::size_t j = i; j > 0; --j)
-                set[j] = set[j - 1];
-            set[0] = tag;
-            return true;
-        }
-    }
-
-    // Miss.
-    if (is_write) {
-        ++total_.writeMisses;
-        ++ps.writeMisses;
-    } else {
-        ++total_.readMisses;
-        ++ps.readMisses;
-    }
-    if (is_write && !cfg_.writeAllocate)
-        return false;  // write-around: no fill
-
-    if (set.size() < cfg_.assoc) {
-        set.insert(set.begin(), tag);
-    } else {
-        for (std::size_t j = set.size() - 1; j > 0; --j)
-            set[j] = set[j - 1];
-        set[0] = tag;
-    }
-    return false;
+    tags_.assign(static_cast<std::size_t>(cfg.numSets()) * cfg.assoc, 0);
 }
 
 bool
@@ -90,9 +41,11 @@ Cache::probe(std::uint64_t addr) const
 {
     const std::uint64_t line = addr >> lineShift_;
     const std::uint64_t tag = line | 0x8000'0000'0000'0000ull;
-    const auto &set = sets_[static_cast<std::size_t>(line) & setMask_];
-    for (std::uint64_t t : set) {
-        if (t == tag)
+    const std::uint64_t *const set =
+        tags_.data()
+        + (static_cast<std::size_t>(line) & setMask_) * cfg_.assoc;
+    for (std::uint32_t i = 0; i < cfg_.assoc; ++i) {
+        if (set[i] == tag)
             return true;
     }
     return false;

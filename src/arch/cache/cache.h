@@ -8,7 +8,7 @@
  * of Figures 3 and 5 fall out directly. CacheSink adapts the trace
  * stream to a split L1: every event's pc touches the I-cache, loads and
  * stores touch the D-cache; its observers (arch/outcome.h) see each
- * access as an Outcome.
+ * access as an Outcome of the event's Step.
  */
 #ifndef JRS_ARCH_CACHE_CACHE_H
 #define JRS_ARCH_CACHE_CACHE_H
@@ -65,7 +65,7 @@ class Cache {
 
     /**
      * Access @p addr. @return true on hit. Updates total and per-phase
-     * stats.
+     * stats. Inline: every modelled instruction makes one or two.
      */
     bool access(std::uint64_t addr, bool is_write, Phase phase);
 
@@ -87,11 +87,62 @@ class Cache {
     CacheConfig cfg_;
     std::uint32_t lineShift_;
     std::uint32_t setMask_;
-    /** Per set: tags in MRU-first order (0 = invalid). */
-    std::vector<std::vector<std::uint64_t>> sets_;
+    /**
+     * numSets x assoc tags, one set after another, each in MRU-first
+     * order. 0 marks an empty way; empty ways trail the valid ones.
+     * Tags carry a valid bit, so 0 never matches a lookup.
+     */
+    std::vector<std::uint64_t> tags_;
     CacheStats total_;
     CacheStats perPhase_[kNumPhases];
 };
+
+inline bool
+Cache::access(std::uint64_t addr, bool is_write, Phase phase)
+{
+    const std::uint64_t line = addr >> lineShift_;
+    const std::uint64_t tag = line | 0x8000'0000'0000'0000ull;  // valid
+    std::uint64_t *const set =
+        tags_.data()
+        + (static_cast<std::size_t>(line) & setMask_) * cfg_.assoc;
+
+    CacheStats &ps = perPhase_[static_cast<std::size_t>(phase)];
+    if (is_write) {
+        ++total_.writes;
+        ++ps.writes;
+    } else {
+        ++total_.reads;
+        ++ps.reads;
+    }
+
+    if (set[0] == tag)
+        return true;  // MRU hit: nothing moves
+    // Ways [0, i) are valid and miss; i stops at a hit, the first
+    // empty way, or the set's end.
+    std::size_t i = 0;
+    while (i < cfg_.assoc && set[i] != tag && set[i] != 0)
+        ++i;
+    const bool hit = i < cfg_.assoc && set[i] == tag;
+    if (!hit) {
+        if (is_write) {
+            ++total_.writeMisses;
+            ++ps.writeMisses;
+        } else {
+            ++total_.readMisses;
+            ++ps.readMisses;
+        }
+        if (is_write && !cfg_.writeAllocate)
+            return false;  // write-around: no fill
+        // Fill an empty way, or evict the LRU way when the set is full.
+        if (i == cfg_.assoc)
+            --i;
+    }
+    // Move (or install) the tag at MRU, shifting ways [0, i) down.
+    for (std::size_t j = i; j > 0; --j)
+        set[j] = set[j - 1];
+    set[0] = tag;
+    return hit;
+}
 
 /** Split L1 fed from the trace stream. */
 class CacheSink : public TraceSink {
@@ -100,22 +151,24 @@ class CacheSink : public TraceSink {
         : icache_(icfg), dcache_(dcfg) {}
 
     /**
-     * Observers see each event first, then one Outcome per access:
-     * Outcome::pc is the accessed address and the penalty is 0 (a
-     * bare cache charges no cycles).
+     * Observers get one Step per event: an Outcome per access with
+     * penalty 0 (a bare cache charges no cycles) and no CPI stack.
      */
     void onEvent(const TraceEvent &ev) override {
-        observers_.event(ev);
         const bool ihit = icache_.access(ev.pc, false, ev.phase);
-        observers_.report(ev.pc, PerfKind::ICacheFetch, ev.phase, !ihit);
-        if (ev.kind == NKind::Load) {
-            const bool hit = dcache_.access(ev.mem, false, ev.phase);
-            observers_.report(ev.mem, PerfKind::DCacheLoad, ev.phase,
-                              !hit);
-        } else if (ev.kind == NKind::Store) {
-            const bool hit = dcache_.access(ev.mem, true, ev.phase);
-            observers_.report(ev.mem, PerfKind::DCacheStore, ev.phase,
-                              !hit);
+        bool dhit = true;
+        if (ev.kind == NKind::Load)
+            dhit = dcache_.access(ev.mem, false, ev.phase);
+        else if (ev.kind == NKind::Store)
+            dhit = dcache_.access(ev.mem, true, ev.phase);
+        if (!observers_.empty()) {
+            Step &s = observers_.open(ev);
+            s.add(PerfKind::ICacheFetch, !ihit);
+            if (ev.kind == NKind::Load)
+                s.add(PerfKind::DCacheLoad, !dhit);
+            else if (ev.kind == NKind::Store)
+                s.add(PerfKind::DCacheStore, !dhit);
+            observers_.commit();
         }
     }
     void onFinish() override { observers_.finish(); }

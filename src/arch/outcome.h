@@ -1,28 +1,35 @@
 /**
  * @file
- * Per-event microarchitectural outcomes.
+ * Per-instruction step records: what a model did with each event.
  *
  * The architecture models (Cache, PredictorBank, PipelineSim) only
- * expose end-of-run totals; this header adds the event layer that lets
- * an observer see *each* hit/miss and predict/mispredict as it
- * happens, carrying the simulated pc so the outcome can be joined with
- * the VM's symbol maps (obs/perf.h). A profiler is a StreamObserver:
- * PipelineSim and CacheSink each keep a list of them (observe()), hand
- * every TraceEvent to all of them before modelling it, and send every
- * outcome, CPI sample and onFinish to all of them. One model therefore
- * feeds any number of profilers in one pass. The list is empty by
- * default: the unobserved cost is one emptiness test per modelled
- * access, and the observers never touch timing, so plain runs are
- * unchanged bit-for-bit.
+ * expose end-of-run totals; this header adds the record layer that
+ * lets a profiler see *each* hit/miss and predict/mispredict, joined
+ * with the event that caused it (obs/perf.h). A profiler is a
+ * StreamObserver: PipelineSim and CacheSink each keep a list of them
+ * (observe()) and, after modelling an event, fill one Step for it —
+ * the event itself, one Outcome per modelled access (fetch, then data
+ * access, then control prediction) and, for the pipeline, the
+ * instruction's CPI stack. Steps collect in one fixed block that goes
+ * to every observer through onSteps() when it is full and always
+ * before onFinish is forwarded, so one model feeds any number of
+ * profilers in one pass, and each profiler folds each step once.
  *
- * The pipeline model additionally decomposes every retired
- * instruction's commit-cycle delta into a CPI stack (CpiSample). The
- * components always sum exactly to the instruction's delta, so summing
- * samples over any partition of the stream conserves total cycles.
+ * The list is empty by default: the unobserved cost is one emptiness
+ * test per event, and observers never touch timing, so plain runs are
+ * unchanged bit-for-bit. A profiler's state therefore lags the model
+ * by up to one block until onFinish; read it only after the stream
+ * has finished.
+ *
+ * The pipeline model decomposes every retired instruction's
+ * commit-cycle delta into a CPI stack (Step::cpi). The components
+ * always sum exactly to the instruction's delta, so summing steps over
+ * any partition of the stream conserves total cycles.
  */
 #ifndef JRS_ARCH_OUTCOME_H
 #define JRS_ARCH_OUTCOME_H
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -46,17 +53,12 @@ inline constexpr std::size_t kNumPerfKinds = 5;
 const char *perfKindName(PerfKind kind);
 
 /**
- * One modelled access and how it went. @c pc is the accessed address
- * as the reporting model sees it: the instruction address for fetches
- * and branch predictions, the effective data address for D-cache
- * accesses. @c bad means miss (caches) or mispredict (predictors);
- * @c penalty is the cycle cost the reporting model charged (0 for
- * pure-count models like a bare Cache or PredictorBank).
+ * One modelled access and how it went. @c bad means miss (caches) or
+ * mispredict (predictors); @c penalty is the cycle cost the reporting
+ * model charged (0 for pure-count models like a bare CacheSink).
  */
 struct Outcome {
-    std::uint64_t pc = 0;
     PerfKind kind = PerfKind::ICacheFetch;
-    Phase phase = Phase::Interpret;
     bool bad = false;
     std::uint32_t penalty = 0;
 };
@@ -83,82 +85,113 @@ inline constexpr std::size_t kNumCpiComponents = 6;
 /** Human-readable name of a CPI component. */
 const char *cpiComponentName(CpiComponent c);
 
-/**
- * One retired instruction's share of total cycles, decomposed.
- * cycles[] sums exactly to this instruction's commit delta (the
- * cycles the machine's commit point advanced retiring it), so the
- * samples of a run partition PipelineSim::cycles() with no residue.
- */
-struct CpiSample {
-    std::uint64_t pc = 0;
-    Phase phase = Phase::Interpret;
-    std::uint64_t cycles[kNumCpiComponents] = {};
+/** Most outcomes one event yields: fetch, data access, control. */
+inline constexpr std::size_t kMaxOutcomes = 3;
 
-    std::uint64_t total() const {
+/**
+ * One modelled instruction. out[0, outcomes) are its accesses in
+ * model order (the fetch first). When hasCpi is set, cpi[] sums
+ * exactly to this instruction's commit delta (the cycles the
+ * machine's commit point advanced retiring it), so the steps of a run
+ * partition PipelineSim::cycles() with no residue; otherwise cpi[] is
+ * all zero. A step fed straight from a stream (StreamObserver::onEvent)
+ * has neither outcomes nor a CPI stack.
+ */
+struct Step {
+    TraceEvent ev;
+    std::uint8_t outcomes = 0;
+    bool hasCpi = false;
+    Outcome out[kMaxOutcomes];
+    std::uint64_t cpi[kNumCpiComponents] = {};
+
+    /** Append one access to out[] (at most kMaxOutcomes). */
+    void add(PerfKind kind, bool bad, std::uint32_t penalty = 0) {
+        out[outcomes++] = Outcome{kind, bad, penalty};
+    }
+
+    /** Cycles this instruction retired in (0 without a CPI stack). */
+    std::uint64_t cycles() const {
         std::uint64_t t = 0;
-        for (const std::uint64_t c : cycles)
+        for (const std::uint64_t c : cpi)
             t += c;
         return t;
     }
 };
 
 /**
- * Observer of per-event outcomes. Both hooks default to no-ops so a
- * listener can subscribe to only the stream it needs. Implementations
- * must be cheap and must not touch the reporting model (the models
- * call out mid-access).
+ * A profiler riding a model: it receives the model's steps in blocks,
+ * in stream order, and onFinish once they are all delivered.
  */
-class OutcomeListener {
+class StreamObserver : public TraceSink {
   public:
-    virtual ~OutcomeListener() = default;
+    /** Steps [steps, steps + n) of the stream, in order. */
+    virtual void onSteps(const Step *steps, std::size_t n) = 0;
 
-    /** One modelled access (cache or predictor). */
-    virtual void onOutcome(const Outcome &) {}
-
-    /** One retired instruction's CPI decomposition (pipeline only). */
-    virtual void onRetire(const CpiSample &) {}
+    /** The model-free feed: @p ev as a step with no outcomes or CPI. */
+    void onEvent(const TraceEvent &ev) final {
+        Step s;
+        s.ev = ev;
+        onSteps(&s, 1);
+    }
 };
 
 /**
- * A profiler riding a model: it sees each TraceEvent before the model
- * does, so the outcomes the model then reports land in that event's
- * context (method, opcode, calling context, window).
- */
-class StreamObserver : public TraceSink, public OutcomeListener {};
-
-/**
- * The observers one model feeds, in attach order. Each hook is a
- * no-op on an empty list; report() builds its Outcome only when
- * someone listens.
+ * The observers one model feeds, in attach order, and the block of
+ * steps they have not been handed yet.
  */
 class ObserverList {
   public:
-    void add(StreamObserver &o) { list_.push_back(&o); }
+    /**
+     * Steps per delivered block: enough to make the virtual onSteps
+     * call rare, few enough (7 KiB) that the block stays in the L1
+     * data cache between the model filling it and the observers
+     * reading it.
+     */
+    static constexpr std::size_t kBlockSteps = 64;
+
+    void add(StreamObserver &o) {
+        list_.push_back(&o);
+        block_.resize(kBlockSteps);
+    }
     bool empty() const { return list_.empty(); }
 
-    void event(const TraceEvent &ev) const {
-        for (StreamObserver *o : list_)
-            o->onEvent(ev);
+    /**
+     * The next step's slot, with its event set and no outcomes; call
+     * only when observed. The caller adds the outcomes and, if it
+     * models timing, sets hasCpi and every cpi[] component (a model
+     * that never does leaves them false and zero), then commits.
+     */
+    Step &open(const TraceEvent &ev) {
+        Step &s = block_[filled_];
+        s.ev = ev;
+        s.outcomes = 0;
+        return s;
     }
-    void report(std::uint64_t pc, PerfKind kind, Phase phase, bool bad,
-                std::uint32_t penalty = 0) const {
-        if (list_.empty())
-            return;
-        const Outcome out{pc, kind, phase, bad, penalty};
-        for (StreamObserver *o : list_)
-            o->onOutcome(out);
+    /** The opened step is complete; deliver the block when full. */
+    void commit() {
+        if (++filled_ == kBlockSteps)
+            flush();
     }
-    void retire(const CpiSample &s) const {
-        for (StreamObserver *o : list_)
-            o->onRetire(s);
-    }
-    void finish() const {
+
+    /** Deliver the pending steps, then forward onFinish. */
+    void finish() {
+        flush();
         for (StreamObserver *o : list_)
             o->onFinish();
     }
 
   private:
+    void flush() {
+        if (filled_ == 0)
+            return;
+        for (StreamObserver *o : list_)
+            o->onSteps(block_.data(), filled_);
+        filled_ = 0;
+    }
+
     std::vector<StreamObserver *> list_;
+    std::vector<Step> block_;
+    std::size_t filled_ = 0;
 };
 
 } // namespace jrs

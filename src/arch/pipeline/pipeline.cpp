@@ -29,7 +29,6 @@ PipelineSim::latencyOf(NKind kind)
 void
 PipelineSim::onEvent(const TraceEvent &ev)
 {
-    observers_.event(ev);
     ++insts_;
     const std::uint64_t prevCommit = lastCommit_;
 
@@ -52,9 +51,6 @@ PipelineSim::onEvent(const TraceEvent &ev)
     }
     const std::uint64_t fetch = fetchCycle_;
     ++fetchedThisCycle_;
-
-    observers_.report(ev.pc, PerfKind::ICacheFetch, ev.phase, imiss,
-                      imiss ? cfg_.icacheMissPenalty : 0);
 
     // ---------------------------------------------------------- dispatch
     const std::uint64_t dispatch = fetch + cfg_.frontendDepth;
@@ -85,8 +81,9 @@ PipelineSim::onEvent(const TraceEvent &ev)
     const std::uint32_t latencyBase = latencyOf(ev.kind);
     std::uint32_t latency = latencyBase;
     std::uint64_t dcacheBudget = 0;
+    bool dmiss = false;
     if (ev.kind == NKind::Load) {
-        const bool dmiss = !dcache_.access(ev.mem, false, ev.phase);
+        dmiss = !dcache_.access(ev.mem, false, ev.phase);
         if (dmiss) {
             // A miss needs a free MSHR: memory-level parallelism is
             // bounded, so streams of misses serialize on the memory
@@ -99,10 +96,8 @@ PipelineSim::onEvent(const TraceEvent &ev)
             mshrHead_ = (mshrHead_ + 1) % mshr_.size();
             dcacheBudget = cfg_.dcacheMissPenalty + mshrWait;
         }
-        observers_.report(ev.pc, PerfKind::DCacheLoad, ev.phase, dmiss,
-                          static_cast<std::uint32_t>(dcacheBudget));
     } else if (ev.kind == NKind::Store) {
-        const bool dmiss = !dcache_.access(ev.mem, true, ev.phase);
+        dmiss = !dcache_.access(ev.mem, true, ev.phase);
         if (dmiss) {
             // Write-allocate fill occupies an MSHR but does not stall
             // the store itself (write buffer).
@@ -111,7 +106,6 @@ PipelineSim::onEvent(const TraceEvent &ev)
                 + cfg_.dcacheMissPenalty;
             mshrHead_ = (mshrHead_ + 1) % mshr_.size();
         }
-        observers_.report(ev.pc, PerfKind::DCacheStore, ev.phase, dmiss);
     }
     const std::uint64_t done = ready + latency;
 
@@ -125,11 +119,12 @@ PipelineSim::onEvent(const TraceEvent &ev)
     }
 
     // ---------------------------------------------------------- control
+    bool wrong = false;
     if (ev.kind == NKind::Branch) {
         ++condBranches_;
         const bool pred = predictor_.predict(ev.pc);
         predictor_.update(ev.pc, ev.taken);
-        const bool wrong = pred != ev.taken;
+        wrong = pred != ev.taken;
         if (wrong) {
             ++mispredicts_;
             ++condMispredicts_;
@@ -142,14 +137,12 @@ PipelineSim::onEvent(const TraceEvent &ev)
         }
         // Correctly predicted taken branches fetch through: the BTB
         // steers the front end with no bubble.
-        observers_.report(ev.pc, PerfKind::CondBranch, ev.phase, wrong,
-                          wrong ? cfg_.mispredictPenalty : 0);
     } else if (ev.kind == NKind::IndirectJump
                || ev.kind == NKind::IndirectCall) {
         ++indirects_;
         const std::uint64_t pred = btb_.predict(ev.pc);
         btb_.update(ev.pc, ev.target);
-        const bool wrong = pred != ev.target;
+        wrong = pred != ev.target;
         if (wrong) {
             ++mispredicts_;
             ++indirectMispredicts_;
@@ -160,8 +153,6 @@ PipelineSim::onEvent(const TraceEvent &ev)
             pendingRedirectBudget_ =
                 cfg_.mispredictPenalty + cfg_.frontendDepth;
         }
-        observers_.report(ev.pc, PerfKind::IndirectTarget, ev.phase,
-                          wrong, wrong ? cfg_.mispredictPenalty : 0);
     }
     // Direct jumps/calls/returns and predicted-taken branches are
     // steered by the BTB without a fetch bubble.
@@ -183,17 +174,35 @@ PipelineSim::onEvent(const TraceEvent &ev)
     robHead_ = (robHead_ + 1) % rob_.size();
 
     if (!observers_.empty()) {
+        Step &s = observers_.open(ev);
+        s.add(PerfKind::ICacheFetch, imiss,
+              imiss ? cfg_.icacheMissPenalty : 0);
+        if (ev.kind == NKind::Load) {
+            s.add(PerfKind::DCacheLoad, dmiss,
+                  static_cast<std::uint32_t>(dcacheBudget));
+        } else if (ev.kind == NKind::Store) {
+            s.add(PerfKind::DCacheStore, dmiss);
+        }
+        const std::uint32_t redirect =
+            wrong ? cfg_.mispredictPenalty : 0;
+        if (ev.kind == NKind::Branch) {
+            s.add(PerfKind::CondBranch, wrong, redirect);
+        } else if (ev.kind == NKind::IndirectJump
+                   || ev.kind == NKind::IndirectCall) {
+            s.add(PerfKind::IndirectTarget, wrong, redirect);
+        }
+
         // Interval-style CPI stack: split this instruction's commit
         // delta across the stalls it suffered, front end first, each
         // capped at its modelled budget; the residue is base work.
-        // The caps make the split exact: samples sum to cycles().
-        CpiSample s;
-        s.pc = ev.pc;
-        s.phase = ev.phase;
+        // The caps make the split exact: steps sum to cycles().
+        s.hasCpi = true;
+        for (std::uint64_t &c : s.cpi)
+            c = 0;
         std::uint64_t remaining = lastCommit_ - prevCommit;
         const auto take = [&](CpiComponent c, std::uint64_t budget) {
             const std::uint64_t t = std::min(remaining, budget);
-            s.cycles[static_cast<std::size_t>(c)] += t;
+            s.cpi[static_cast<std::size_t>(c)] += t;
             remaining -= t;
         };
         take(redirectComp, redirectBudget);
@@ -202,9 +211,9 @@ PipelineSim::onEvent(const TraceEvent &ev)
         take(CpiComponent::DCache, dcacheBudget);
         take(CpiComponent::Backend,
              robWait + depWait + (latencyBase - 1));
-        s.cycles[static_cast<std::size_t>(CpiComponent::Base)] +=
+        s.cpi[static_cast<std::size_t>(CpiComponent::Base)] +=
             remaining;
-        observers_.retire(s);
+        observers_.commit();
     }
 }
 

@@ -16,17 +16,17 @@
  * indirect jump mispredicts its target almost always, serializing
  * fetch once per bytecode and capping wide-issue scaling.
  *
- * Observers (arch/outcome.h, attached with observe()) see every
- * event before it is modelled, every I-/D-cache access and every
- * direction/target prediction with the cycle penalty charged, and a
- * CpiSample per retired instruction decomposing its commit-cycle
- * delta into base / I-cache / D-cache / branch-mispredict /
- * indirect-target / backend components. The decomposition is
- * interval-style: the delta is assigned to the stall causes this
- * instruction actually suffered, front end first, each capped at its
- * modelled budget, with the residue counted as base cycles — so
- * samples always sum exactly to cycles() and the timing computation
- * itself is untouched (bit-identical with or without observers).
+ * Observers (arch/outcome.h, attached with observe()) receive one
+ * Step per modelled event: its I-/D-cache accesses and
+ * direction/target prediction with the cycle penalty charged, and its
+ * commit-cycle delta decomposed into base / I-cache / D-cache /
+ * branch-mispredict / indirect-target / backend components. The
+ * decomposition is interval-style: the delta is assigned to the stall
+ * causes this instruction actually suffered, front end first, each
+ * capped at its modelled budget, with the residue counted as base
+ * cycles — so steps always sum exactly to cycles() and the timing
+ * computation itself is untouched (bit-identical with or without
+ * observers).
  */
 #ifndef JRS_ARCH_PIPELINE_PIPELINE_H
 #define JRS_ARCH_PIPELINE_PIPELINE_H
@@ -95,9 +95,9 @@ class PipelineSim : public TraceSink {
     const Cache &dcache() const { return dcache_; }
 
     /**
-     * Feed @p o every event, per-access outcome and per-retire CPI
-     * sample, after any observers attached earlier. @p o must outlive
-     * the replay. Never affects timing.
+     * Feed @p o one Step per event (outcomes and CPI stack), after
+     * any observers attached earlier. @p o must outlive the replay.
+     * Never affects timing.
      */
     void observe(StreamObserver &o) { observers_.add(o); }
 

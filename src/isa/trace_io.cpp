@@ -41,11 +41,6 @@ getU64(const std::uint8_t *p)
     }
 }
 
-/** Closes a trace file on every exit path, a throwing sink's too. */
-struct FileCloser {
-    void operator()(std::FILE *f) const { std::fclose(f); }
-};
-
 /** Records read per fread while replaying a file. */
 constexpr std::size_t kReadRecords = 4096;
 
@@ -123,17 +118,19 @@ TraceFileWriter::TraceFileWriter(const std::string &path)
     : file_(std::fopen(path.c_str(), "wb")), path_(path)
 {
     if (file_ == nullptr)
-        throw VmError("cannot open trace file for writing: " + path);
+        fail("cannot open trace file for writing");
     std::uint8_t header[kTraceHeaderBytes];
     encodeTraceHeader(header);
-    if (std::fwrite(header, 1, sizeof(header), file_) != sizeof(header))
-        throw VmError("trace header write failed");
+    if (std::fwrite(header, 1, sizeof(header), file_.get())
+        != sizeof(header))
+        fail("trace header write failed");
 }
 
-TraceFileWriter::~TraceFileWriter()
+void
+TraceFileWriter::fail(const char *what) const
 {
-    if (file_ != nullptr)
-        std::fclose(file_);
+    throw VmError(std::string(what) + ": " + path_ + ": "
+                  + std::strerror(errno));
 }
 
 void
@@ -141,9 +138,9 @@ TraceFileWriter::onEvent(const TraceEvent &ev)
 {
     std::uint8_t rec[kTraceRecordBytes];
     encodeTraceRecord(ev, rec);
-    if (std::fwrite(rec, 1, kTraceRecordBytes, file_)
+    if (std::fwrite(rec, 1, kTraceRecordBytes, file_.get())
         != kTraceRecordBytes) {
-        throw VmError("trace record write failed");
+        fail("trace record write failed");
     }
     ++events_;
 }
@@ -152,10 +149,8 @@ void
 TraceFileWriter::onFinish()
 {
     // The last records sit in stdio's buffer until this flush.
-    if (std::fflush(file_) != 0) {
-        throw VmError("trace write failed: " + path_ + ": "
-                      + std::strerror(errno));
-    }
+    if (std::fflush(file_.get()) != 0)
+        fail("trace write failed");
 }
 
 std::uint64_t

@@ -18,6 +18,7 @@
 #define JRS_ISA_TRACE_IO_H
 
 #include <cstdio>
+#include <memory>
 #include <string>
 
 #include "isa/trace.h"
@@ -53,16 +54,21 @@ void encodeTraceHeader(std::uint8_t *out);
  */
 std::string checkTraceHeader(const std::uint8_t *in);
 
-/** Sink that streams events into a binary trace file. */
+/** Closes a trace file on every exit path, a throwing sink's too. */
+struct FileCloser {
+    void operator()(std::FILE *f) const { std::fclose(f); }
+};
+
+/**
+ * Sink that streams events into a binary trace file. Every failure
+ * throws VmError naming the path and the system error.
+ */
 class TraceFileWriter : public TraceSink {
   public:
-    /** Opens @p path for writing; throws VmError on failure. */
+    /** Opens @p path for writing and writes the header. */
     explicit TraceFileWriter(const std::string &path);
-    ~TraceFileWriter() override;
 
-    TraceFileWriter(const TraceFileWriter &) = delete;
-    TraceFileWriter &operator=(const TraceFileWriter &) = delete;
-
+    /** Appends one record. */
     void onEvent(const TraceEvent &ev) override;
 
     /** Flushes the file; throws VmError when the flush fails. */
@@ -72,7 +78,10 @@ class TraceFileWriter : public TraceSink {
     std::uint64_t eventsWritten() const { return events_; }
 
   private:
-    std::FILE *file_;
+    /** Throws "@p what: path: strerror(errno)". */
+    [[noreturn]] void fail(const char *what) const;
+
+    std::unique_ptr<std::FILE, FileCloser> file_;
     std::string path_;
     std::uint64_t events_ = 0;
 };

@@ -33,6 +33,8 @@ MethodMap::add(SimAddr lo, SimAddr hi, const std::string &name)
     if (pos != ranges_.begin() && std::prev(pos)->hi > lo)
         throw VmError("MethodMap ranges overlap at " + name);
     ranges_.insert(pos, r);
+    for (unsigned i = segmentIndex(lo); i <= segmentIndex(hi - 1); ++i)
+        segments_ |= std::uint64_t{1} << i;
 }
 
 MethodMap
@@ -60,6 +62,25 @@ MethodMap::rowOf(SimAddr addr) const
         return -1;
     const Range &r = *std::prev(pos);
     return addr < r.hi ? r.row : -1;
+}
+
+MethodMap::Span
+MethodMap::spanOf(SimAddr addr) const
+{
+    const auto pos = std::upper_bound(
+        ranges_.begin(), ranges_.end(), addr,
+        [](SimAddr a, const Range &r) { return a < r.lo; });
+    // The gap runs from the previous range's end (or 0) to the next
+    // range's start (or the top of the address space).
+    Span gap;
+    gap.hi = pos == ranges_.end() ? ~SimAddr{0} : pos->lo;
+    if (pos != ranges_.begin()) {
+        const Range &r = *std::prev(pos);
+        if (addr < r.hi)
+            return Span{r.lo, r.hi, r.row};
+        gap.lo = r.hi;
+    }
+    return gap;
 }
 
 AttributionSink::AttributionSink(const MethodMap &map)

@@ -37,6 +37,7 @@
 #include <string>
 #include <vector>
 
+#include "isa/address_map.h"
 #include "isa/trace.h"
 #include "support/table.h"
 #include "vm/jit/code_cache.h"
@@ -64,6 +65,29 @@ class MethodMap {
     /** Row owning @p addr, or -1. */
     int rowOf(SimAddr addr) const;
 
+    /**
+     * The largest run of addresses around one address that resolve
+     * alike: a mapped range (row >= 0) or the gap between two ranges
+     * (row == -1). Every address in [lo, hi) has rowOf() == row.
+     */
+    struct Span {
+        SimAddr lo = 0;
+        SimAddr hi = 0;
+        int row = -1;
+    };
+
+    /** The Span holding @p addr (hi saturates at the top address). */
+    Span spanOf(SimAddr addr) const;
+
+    /**
+     * False when no range touches @p addr's 256 MiB segment (the
+     * seg:: layout of isa/address_map.h), so rowOf(addr) is -1
+     * without a search. Segments at or above index 63 share one bit.
+     */
+    bool segmentMapped(SimAddr addr) const {
+        return (segments_ >> segmentIndex(addr)) & 1u;
+    }
+
     /** Name of @p row. */
     const std::string &name(int row) const { return names_[row]; }
 
@@ -88,8 +112,14 @@ class MethodMap {
         int row;
     };
 
+    static unsigned segmentIndex(SimAddr addr) {
+        const SimAddr index = addr / seg::kSegmentSize;
+        return index < 63 ? static_cast<unsigned>(index) : 63u;
+    }
+
     std::vector<Range> ranges_;  ///< kept sorted by lo
     std::vector<std::string> names_;
+    std::uint64_t segments_ = 0;  ///< bit per segment any range touches
 };
 
 /**
@@ -98,24 +128,44 @@ class MethodMap {
  * TraceEvent to a MethodMap row (-1 = unattributed). Shared by
  * AttributionSink (event counting) and PerfAttribution (outcome and
  * CPI-stack folding, obs/perf.h) so both agree on every event.
+ *
+ * Lookups take a fast path that returns exactly MethodMap::rowOf:
+ * addresses in segments no range touches (the heap and the thread
+ * stacks, which most interpreted loads hit) resolve to -1 at once,
+ * and the last few Spans looked up are cached, since consecutive
+ * events nearly always fall in the same method or gap.
  */
 class MethodContext {
   public:
     /** @p map must outlive the context. */
     explicit MethodContext(const MethodMap &map) : map_(&map) {}
 
+    /** map.rowOf(@p addr), through the fast path above. */
+    int rowOf(SimAddr addr) {
+        if (!map_->segmentMapped(addr))
+            return -1;
+        for (const MethodMap::Span &sp : spans_) {
+            if (addr - sp.lo < sp.hi - sp.lo)
+                return sp.row;
+        }
+        const MethodMap::Span sp = map_->spanOf(addr);
+        spans_[nextSpan_] = sp;
+        nextSpan_ = (nextSpan_ + 1) % kSpans;
+        return sp.row;
+    }
+
     /** Resolve @p ev's method row, updating the phase contexts. */
     int observe(const TraceEvent &ev) {
         int row = -1;
         switch (ev.phase) {
           case Phase::NativeExec:
-            row = map_->rowOf(ev.pc);
+            row = rowOf(ev.pc);
             if (row >= 0)
                 lastRunning_ = row;
             break;
           case Phase::Interpret:
             if (ev.kind == NKind::Load) {
-                const int r = map_->rowOf(ev.mem);
+                const int r = rowOf(ev.mem);
                 if (r >= 0)
                     curInterp_ = r;
             }
@@ -125,7 +175,7 @@ class MethodContext {
             break;
           case Phase::Translate:
             if (isMemory(ev.kind)) {
-                const int r = map_->rowOf(ev.mem);
+                const int r = rowOf(ev.mem);
                 if (r >= 0)
                     curTranslate_ = r;
             }
@@ -144,7 +194,12 @@ class MethodContext {
     }
 
   private:
+    /** Cached spans, replaced round-robin; empty spans match nothing. */
+    static constexpr std::size_t kSpans = 4;
+
     const MethodMap *map_;
+    MethodMap::Span spans_[kSpans];
+    std::size_t nextSpan_ = 0;
     int curInterp_ = -1;     ///< method of the last bytecode fetch
     int curTranslate_ = -1;  ///< method the translator last touched
     int lastRunning_ = -1;   ///< last interp/native attribution

@@ -96,8 +96,9 @@ PerfCell::merge(const PerfCell &o)
 
 PerfAttribution::PerfAttribution(const MethodMap &map, Options opt)
     : map_(&map), opt_(opt), ctx_(map),
-      methodCells_(map.rows() + 1), curSlot_(map.rows())
+      cells_((map.rows() + 1) * kNumPhases)
 {
+    views_.methods.resize(map.rows() + 1);
     if (opt_.program != nullptr) {
         for (const Method &m : opt_.program->methods) {
             if (m.code.empty())
@@ -133,48 +134,85 @@ PerfAttribution::flushWindow()
     inWindow_ = 0;
 }
 
-void
-PerfAttribution::onEvent(const TraceEvent &ev)
+namespace {
+
+/** Fold @p s's event, outcomes and CPI stack into @p c. */
+inline void
+foldStep(PerfCell &c, const Step &s)
 {
-    // Flush *before* the event so the outcomes the model fires for it
-    // (delivered after this call under the composite ordering) land in
-    // the event's own window. Window boundaries match
-    // TimeSeriesCacheSink exactly (bench/fig06 asserts this).
+    ++c.insts;
+    for (std::size_t i = 0; i < s.outcomes; ++i) {
+        const Outcome &o = s.out[i];
+        const auto k = static_cast<std::size_t>(o.kind);
+        ++c.access[k];
+        c.bad[k] += o.bad;
+        c.penalty[k] += o.penalty;
+    }
+    if (s.hasCpi) {
+        for (std::size_t i = 0; i < kNumCpiComponents; ++i)
+            c.cpi[i] += s.cpi[i];
+    }
+}
+
+} // namespace
+
+void
+PerfAttribution::onSteps(const Step *steps, std::size_t n)
+{
+    for (std::size_t i = 0; i < n; ++i)
+        step(steps[i]);
+    stale_ = true;
+}
+
+void
+PerfAttribution::step(const Step &s)
+{
+    const TraceEvent &ev = s.ev;
     if (opt_.timelineWindow != 0) {
+        // Window boundaries match TimeSeriesCacheSink exactly
+        // (bench/fig06 asserts this).
         if (inWindow_ == opt_.timelineWindow)
             flushWindow();
         ++inWindow_;
         ++cur_.events;
         if (ev.phase == Phase::Translate)
             ++cur_.translateEvents;
+        for (std::size_t i = 0; i < s.outcomes; ++i) {
+            const auto k = static_cast<std::size_t>(s.out[i].kind);
+            ++cur_.access[k];
+            cur_.bad[k] += s.out[i].bad;
+        }
+        for (std::size_t i = 0; i < kNumCpiComponents; ++i)
+            cur_.cpi[i] += s.cpi[i];
     }
 
     ++events_;
     const int row = ctx_.observe(ev);
-    curSlot_ = row >= 0 ? static_cast<std::size_t>(row)
-                        : map_->rows();
-    curPhase_ = static_cast<std::size_t>(ev.phase);
-    ++totals_.insts;
-    ++methodCells_[curSlot_].insts;
-    ++phaseCells_[curPhase_].insts;
+    const std::size_t slot =
+        row >= 0 ? static_cast<std::size_t>(row) : map_->rows();
+    foldStep(cells_[slot * kNumPhases
+                    + static_cast<std::size_t>(ev.phase)],
+             s);
 
-    curInterp_ = ev.phase == Phase::Interpret;
-    if (!bytecodeRanges_.empty() && curInterp_
-        && ev.kind == NKind::Load && ev.pc == kDispatchPc) {
+    if (bytecodeRanges_.empty() || ev.phase != Phase::Interpret)
+        return;
+    if (ev.kind == NKind::Load && ev.pc == kDispatchPc) {
         // The interpreter's dispatch fetch: ev.mem is the address of
         // the opcode byte about to be executed.
         if (const Method *m = methodAtBytecode(ev.mem)) {
             const std::uint64_t off = ev.mem - m->bytecodeAddr;
             const Op op = m->opAt(static_cast<std::uint32_t>(off));
             curOp_ = static_cast<int>(op);
-            curSite_ =
-                (static_cast<std::uint64_t>(curSlot_) << 32) | off;
-            siteCells_[curSite_].op = op;
+            SiteCell &site =
+                siteCells_[(static_cast<std::uint64_t>(slot) << 32)
+                           | off];
+            site.op = op;
+            curSite_ = &site.cell;
         }
     }
-    if (curInterp_ && curOp_ >= 0) {
-        ++opCells_[static_cast<std::size_t>(curOp_)].insts;
-        ++siteCells_[curSite_].cell.insts;
+    if (curOp_ >= 0) {
+        foldStep(opCells_[static_cast<std::size_t>(curOp_)], s);
+        foldStep(*curSite_, s);
     }
 }
 
@@ -183,50 +221,30 @@ PerfAttribution::onFinish()
 {
     if (opt_.timelineWindow != 0 && inWindow_ != 0)
         flushWindow();
+    // Sum the views now, so reading a finished profiler writes nothing.
+    (void)views();
 }
 
-void
-PerfAttribution::onOutcome(const Outcome &o)
+const PerfAttribution::Views &
+PerfAttribution::views() const
 {
-    const auto k = static_cast<std::size_t>(o.kind);
-    const auto fold = [&](PerfCell &c) {
-        ++c.access[k];
-        if (o.bad)
-            ++c.bad[k];
-        c.penalty[k] += o.penalty;
-    };
-    fold(totals_);
-    fold(methodCells_[curSlot_]);
-    fold(phaseCells_[curPhase_]);
-    if (curInterp_ && curOp_ >= 0) {
-        fold(opCells_[static_cast<std::size_t>(curOp_)]);
-        fold(siteCells_[curSite_].cell);
+    if (!stale_)
+        return views_;
+    views_.totals = PerfCell();
+    for (PerfCell &c : views_.methods)
+        c = PerfCell();
+    for (PerfCell &c : views_.phases)
+        c = PerfCell();
+    for (std::size_t slot = 0; slot < views_.methods.size(); ++slot) {
+        for (std::size_t p = 0; p < kNumPhases; ++p) {
+            const PerfCell &c = cells_[slot * kNumPhases + p];
+            views_.methods[slot].merge(c);
+            views_.phases[p].merge(c);
+            views_.totals.merge(c);
+        }
     }
-    if (opt_.timelineWindow != 0) {
-        ++cur_.access[k];
-        if (o.bad)
-            ++cur_.bad[k];
-    }
-}
-
-void
-PerfAttribution::onRetire(const CpiSample &s)
-{
-    const auto fold = [&](PerfCell &c) {
-        for (std::size_t i = 0; i < kNumCpiComponents; ++i)
-            c.cpi[i] += s.cycles[i];
-    };
-    fold(totals_);
-    fold(methodCells_[curSlot_]);
-    fold(phaseCells_[curPhase_]);
-    if (curInterp_ && curOp_ >= 0) {
-        fold(opCells_[static_cast<std::size_t>(curOp_)]);
-        fold(siteCells_[curSite_].cell);
-    }
-    if (opt_.timelineWindow != 0) {
-        for (std::size_t i = 0; i < kNumCpiComponents; ++i)
-            cur_.cpi[i] += s.cycles[i];
-    }
+    stale_ = false;
+    return views_;
 }
 
 namespace {
@@ -270,7 +288,7 @@ PerfAttribution::methodTable(std::size_t n) const
              "mispred", "mp%", "cycles", "base", "icache", "dcache",
              "branch", "indirect", "backend"});
     const std::vector<MethodRow> rows =
-        sortedMethodRows(*map_, methodCells_);
+        sortedMethodRows(*map_, views().methods);
     for (std::size_t i = 0; i < rows.size() && i < n; ++i) {
         const PerfCell &c = *rows[i].cell;
         const std::uint64_t dAcc =
@@ -312,7 +330,7 @@ PerfAttribution::phaseTable() const
              "mp%", "cycles", "base", "icache", "dcache", "branch",
              "indirect", "backend"});
     for (std::size_t p = 0; p < kNumPhases; ++p) {
-        const PerfCell &c = phaseCells_[p];
+        const PerfCell &c = views().phases[p];
         if (c.insts == 0 && c.cycles() == 0)
             continue;
         const std::uint64_t dAcc =
@@ -420,19 +438,19 @@ PerfAttribution::runJson(const std::string &label) const
     out += "    {\n";
     out += "      \"label\": \"" + jsonEscape(label) + "\",\n";
     out += "      \"events\": " + u64(events_) + ",\n";
-    out += "      \"cycles\": " + u64(totals_.cycles()) + ",\n";
-    out += "      \"totals\": {" + cellJson(totals_) + "},\n";
+    out += "      \"cycles\": " + u64(totals().cycles()) + ",\n";
+    out += "      \"totals\": {" + cellJson(totals()) + "},\n";
     out += "      \"phases\": {\n";
     for (std::size_t p = 0; p < kNumPhases; ++p) {
         out += "        \""
             + std::string(phaseName(static_cast<Phase>(p))) + "\": {"
-            + cellJson(phaseCells_[p]) + "}";
+            + cellJson(views().phases[p]) + "}";
         out += p + 1 < kNumPhases ? ",\n" : "\n";
     }
     out += "      },\n";
     out += "      \"methods\": [\n";
     const std::vector<MethodRow> rows =
-        sortedMethodRows(*map_, methodCells_);
+        sortedMethodRows(*map_, views().methods);
     for (std::size_t i = 0; i < rows.size(); ++i) {
         out += "        {\"name\": \"" + jsonEscape(rows[i].name)
             + "\", " + cellJson(*rows[i].cell) + "}";

@@ -19,13 +19,19 @@
  *    miss/mispredict counts and CPI-stack slices, the Figure 6 curve
  *    generalized to every event kind.
  *
- * Ordering contract: the attribution must observe each TraceEvent
- * *before* the model processes it, so the outcomes the model fires
- * mid-access land in the context (method, opcode, window) of that
- * event. Attaching it with PipelineSim::observe or CacheSink::observe
- * gives that order, and other profilers may ride the same model
- * alongside it. AttributedPipeline / AttributedCaches are that
- * wiring with one observer and a shared MethodMap.
+ * Each Step (arch/outcome.h) carries an event together with the
+ * outcomes and CPI stack the model produced for it, so the whole step
+ * lands in that event's context (method, opcode, window) by
+ * construction. Attach the attribution with PipelineSim::observe or
+ * CacheSink::observe; other profilers may ride the same model
+ * alongside it. AttributedPipeline / AttributedCaches are that wiring
+ * with one observer and a shared MethodMap.
+ *
+ * Each step is folded once, into the cell of its (method, phase)
+ * pair; the whole-run, per-method and per-phase views are sums of
+ * those cells, derived when first read after new steps arrive. The
+ * sums are exact integers, so the views conserve as a direct fold
+ * would.
  *
  * Conservation (tested in tests/test_perf.cpp): per-method access
  * counts sum to the model's aggregate stats bit-for-bit, and
@@ -120,25 +126,20 @@ class PerfAttribution : public StreamObserver {
     /** @p map must outlive the sink. */
     explicit PerfAttribution(const MethodMap &map, Options opt = {});
 
-    // --- TraceSink (sees each event before the model; file comment)
-    void onEvent(const TraceEvent &ev) override;
+    void onSteps(const Step *steps, std::size_t n) override;
     void onFinish() override;
-
-    // --- OutcomeListener (fed by the model it observes)
-    void onOutcome(const Outcome &o) override;
-    void onRetire(const CpiSample &s) override;
 
     /** Trace events observed. */
     std::uint64_t totalEvents() const { return events_; }
 
     /** Whole-run totals (every bucket summed). */
-    const PerfCell &totals() const { return totals_; }
+    const PerfCell &totals() const { return views().totals; }
 
     const MethodMap &map() const { return *map_; }
 
     /** Cell of method @p row; row == map().rows() is unattributed. */
     const PerfCell &methodCell(std::size_t row) const {
-        return methodCells_[row];
+        return views().methods[row];
     }
 
     /**
@@ -148,7 +149,7 @@ class PerfAttribution : public StreamObserver {
      * from Phase::Gc collector cycles in one conserved CPI stack.
      */
     const PerfCell &phaseCell(Phase p) const {
-        return phaseCells_[static_cast<std::size_t>(p)];
+        return views().phases[static_cast<std::size_t>(p)];
     }
 
     /** One row per non-empty phase, hot-first: mutator vs collector. */
@@ -202,20 +203,31 @@ class PerfAttribution : public StreamObserver {
         PerfCell cell;
     };
 
+    /** The views summed from cells_. */
+    struct Views {
+        PerfCell totals;
+        std::vector<PerfCell> methods;  ///< indexed like cells_' slots
+        PerfCell phases[kNumPhases];
+    };
+
+    void step(const Step &s);
     void flushWindow();
     const Method *methodAtBytecode(SimAddr addr) const;
+    /** The views, re-summed when steps arrived since the last read. */
+    const Views &views() const;
 
     const MethodMap *map_;
     Options opt_;
     MethodContext ctx_;
 
     std::uint64_t events_ = 0;
-    PerfCell totals_;
-    /** rows() cells + trailing unattributed bucket. */
-    std::vector<PerfCell> methodCells_;
-    std::size_t curSlot_;  ///< bucket of the current trace event
-    PerfCell phaseCells_[kNumPhases];
-    std::size_t curPhase_ = 0;  ///< phase of the current trace event
+    /**
+     * One cell per (slot, phase), slot-major: rows() method slots plus
+     * a trailing unattributed one. Every step folds into exactly one.
+     */
+    std::vector<PerfCell> cells_;
+    mutable Views views_;
+    mutable bool stale_ = false;  ///< cells_ changed since views_
 
     // Opcode/site context (Program-backed; empty when no program).
     struct BytecodeRange {
@@ -228,8 +240,8 @@ class PerfAttribution : public StreamObserver {
     /** (method row << 32 | bytecode offset) -> site stats. */
     std::map<std::uint64_t, SiteCell> siteCells_;
     int curOp_ = -1;       ///< opcode being interpreted, -1 unknown
-    std::uint64_t curSite_ = 0;
-    bool curInterp_ = false;  ///< current event is Interpret-phase
+    /** Cell of the site being interpreted (valid when curOp_ >= 0). */
+    PerfCell *curSite_ = nullptr;
 
     // Timeline state.
     std::uint64_t inWindow_ = 0;

@@ -62,8 +62,16 @@ CctBuilder::childOf(int parent, FrameKind kind, std::uint64_t key,
 }
 
 void
-CctBuilder::onEvent(const TraceEvent &ev)
+CctBuilder::onSteps(const Step *steps, std::size_t n)
 {
+    for (std::size_t i = 0; i < n; ++i)
+        step(steps[i]);
+}
+
+void
+CctBuilder::step(const Step &s)
+{
+    const TraceEvent &ev = s.ev;
     // The tracker closes an abandoned Translate frame before the
     // attribution point; mirror that into the node stack.
     if (tracker_.begin(ev).closedTranslate)
@@ -78,13 +86,20 @@ CctBuilder::onEvent(const TraceEvent &ev)
     if (n.methodRow < 0)
         n.methodRow = tracker_.stack()[stack_.size() - 1].methodRow;
 
+    // The step's cycles belong to this context, even when the event
+    // itself pushes or pops a frame (a Call's own cycles are the
+    // caller's).
+    const std::size_t p = static_cast<std::size_t>(ev.phase);
     ++events_;
     ++n.events;
-    ++n.phaseEvents[static_cast<std::size_t>(ev.phase)];
-    // The CpiSample the model fires while processing this very event
-    // belongs to this context, even when the event itself pushes or
-    // pops a frame (a Call's own cycles are the caller's).
-    attrNode_ = cur;
+    ++n.phaseEvents[p];
+    if (s.hasCpi) {
+        for (std::size_t c = 0; c < kNumCpiComponents; ++c)
+            n.cpi[c] += s.cpi[c];
+        const std::uint64_t t = s.cycles();
+        n.phaseCycles[p] += t;
+        cycles_ += t;
+    }
 
     switch (tracker_.finish(ev)) {
       case FrameTracker::Action::Push: {
@@ -101,18 +116,6 @@ CctBuilder::onEvent(const TraceEvent &ev)
       case FrameTracker::Action::None:
         break;
     }
-}
-
-void
-CctBuilder::onRetire(const CpiSample &s)
-{
-    CctNode &n = nodes_[attrNode_];
-    const std::size_t p = static_cast<std::size_t>(s.phase);
-    for (std::size_t c = 0; c < kNumCpiComponents; ++c)
-        n.cpi[c] += s.cycles[c];
-    const std::uint64_t t = s.total();
-    n.phaseCycles[p] += t;
-    cycles_ += t;
 }
 
 std::string

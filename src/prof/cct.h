@@ -6,9 +6,9 @@
  * pass answers "expensive *called from where*". A CctBuilder follows
  * the stream's Call/Ret brackets (the well-known stub pcs in
  * isa/address_map.h) to maintain a calling-context stack, creating
- * one tree node per distinct context, and folds every retired
- * instruction's CPI-stack sample (arch/outcome.h) into the node that
- * was current when the instruction was observed. Phase is a dimension
+ * one tree node per distinct context, and folds every step's event
+ * and CPI stack (arch/outcome.h) into the node that is current at the
+ * event's attribution point, in one call. Phase is a dimension
  * on every node — collector and translation work show up *in the
  * calling context that triggered them*, split per Phase.
  *
@@ -18,8 +18,8 @@
  * (prof/sampler.h); this builder mirrors the tracker's pushes and
  * pops into a node stack. The stack may then be an approximation of
  * the true context (exception unwinds, green threads), but
- * attribution still conserves exactly: every event and every CPI
- * sample lands in exactly one node, so
+ * attribution still conserves exactly: every step lands in exactly
+ * one node, so
  *
  *     sum over nodes of self cycles == PipelineSim::cycles()
  *
@@ -108,12 +108,7 @@ class CctBuilder : public StreamObserver {
     /** @p map must outlive the builder. */
     explicit CctBuilder(const obs::MethodMap &map, Options opt = {});
 
-    // --- TraceSink (subscribe *before* the model, like PerfAttribution)
-    void onEvent(const TraceEvent &ev) override;
-    void onFinish() override {}
-
-    // --- OutcomeListener (fed by the pipeline model it observes)
-    void onRetire(const CpiSample &s) override;
+    void onSteps(const Step *steps, std::size_t n) override;
 
     /** All nodes; index 0 is the root. Parent/kids index into this. */
     const std::vector<CctNode> &nodes() const { return nodes_; }
@@ -169,6 +164,7 @@ class CctBuilder : public StreamObserver {
     std::string runJson(const std::string &label) const;
 
   private:
+    void step(const Step &s);
     int childOf(int parent, FrameKind kind, std::uint64_t key,
                 std::uint32_t methodId, const char *stubName);
     /** DFS over @p n's children sorted by display name. */
@@ -180,7 +176,6 @@ class CctBuilder : public StreamObserver {
     FrameTracker tracker_;       ///< shared frame discipline
     std::vector<CctNode> nodes_;
     std::vector<int> stack_;     ///< node indices, root at [0]
-    int attrNode_ = 0;           ///< node receiving the next CpiSample
     std::uint64_t events_ = 0;
     std::uint64_t cycles_ = 0;
 };

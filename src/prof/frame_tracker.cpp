@@ -31,55 +31,26 @@ FrameTracker::FrameTracker(const obs::MethodMap *map, Options opt)
     frames_[0].kind = FrameKind::Root;
 }
 
-FrameTracker::Step
-FrameTracker::begin(const TraceEvent &ev)
+void
+FrameTracker::name(const TraceEvent &ev)
 {
-    Step step;
-    // A Translate frame not closed by its install return (the
-    // compilation aborted on an uncompilable construct) ends at the
-    // first event from any other phase.
-    if (ev.phase != Phase::Translate && overflow_ == 0 &&
-        frames_.back().kind == FrameKind::Translate) {
-        frames_.pop_back();
-        ++abandoned_;
-        step.closedTranslate = true;
-    }
-
-    // Lazy frame naming (see header): first attributable event wins.
-    Frame &f = frames_.back();
-    if (map_ != nullptr && f.methodRow < 0 &&
-        (f.kind == FrameKind::Method || f.kind == FrameKind::Root)) {
-        int row = -1;
-        if (ev.phase == Phase::NativeExec)
-            row = map_->rowOf(ev.pc);
-        else if (ev.phase == Phase::Interpret && ev.kind == NKind::Load)
-            row = map_->rowOf(ev.mem);
-        if (row >= 0)
-            f.methodRow = row;
-    }
-    return step;
+    // First attributable event wins.
+    int row = -1;
+    if (ev.phase == Phase::NativeExec)
+        row = map_->rowOf(ev.pc);
+    else if (ev.phase == Phase::Interpret && ev.kind == NKind::Load)
+        row = map_->rowOf(ev.mem);
+    if (row >= 0)
+        frames_.back().methodRow = row;
 }
 
 FrameTracker::Action
-FrameTracker::finish(const TraceEvent &ev)
-{
-    if (ev.kind == NKind::Call || ev.kind == NKind::IndirectCall) {
-        const std::size_t before = frames_.size();
-        push(ev);
-        return frames_.size() > before ? Action::Push : Action::None;
-    }
-    if (ev.kind == NKind::Ret)
-        return pop(ev) ? Action::Pop : Action::None;
-    return Action::None;
-}
-
-void
 FrameTracker::push(const TraceEvent &ev)
 {
     if (frames_.size() + overflow_ >= opt_.maxDepth) {
         ++overflow_;
         ++overflowPushes_;
-        return;
+        return Action::None;
     }
     FrameKind kind;
     std::uint32_t methodId = 0;
@@ -118,6 +89,7 @@ FrameTracker::push(const TraceEvent &ev)
     f.stubName = stubName;
     frames_.push_back(f);
     maxDepthSeen_ = std::max(maxDepthSeen_, frames_.size());
+    return Action::Push;
 }
 
 bool

@@ -114,10 +114,37 @@ class FrameTracker {
                           Options opt = {});
 
     /** First half of event processing; see file comment. */
-    Step begin(const TraceEvent &ev);
+    Step begin(const TraceEvent &ev) {
+        Step step;
+        // A Translate frame not closed by its install return (the
+        // compilation aborted on an uncompilable construct) ends at
+        // the first event from any other phase.
+        if (frames_.back().kind == FrameKind::Translate
+            && ev.phase != Phase::Translate && overflow_ == 0) {
+            frames_.pop_back();
+            ++abandoned_;
+            step.closedTranslate = true;
+        }
+        // Lazy frame naming (see file comment).
+        const Frame &f = frames_.back();
+        if (f.methodRow < 0 && map_ != nullptr
+            && (f.kind == FrameKind::Method || f.kind == FrameKind::Root))
+            name(ev);
+        return step;
+    }
 
     /** Second half; call exactly once after begin(ev). */
-    Action finish(const TraceEvent &ev);
+    Action finish(const TraceEvent &ev) {
+        switch (ev.kind) {
+          case NKind::Call:
+          case NKind::IndirectCall:
+            return push(ev);
+          case NKind::Ret:
+            return pop(ev) ? Action::Pop : Action::None;
+          default:
+            return Action::None;
+        }
+    }
 
     /** Both halves, for consumers without an attribution point. */
     void onEvent(const TraceEvent &ev) {
@@ -147,7 +174,9 @@ class FrameTracker {
     std::size_t maxDepthSeen() const { return maxDepthSeen_; }
 
   private:
-    void push(const TraceEvent &ev);
+    /** Name the innermost frame from @p ev when it is attributable. */
+    void name(const TraceEvent &ev);
+    Action push(const TraceEvent &ev);
     bool pop(const TraceEvent &ev);
 
     const obs::MethodMap *map_;

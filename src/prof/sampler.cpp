@@ -55,43 +55,26 @@ SamplingProfiler::SamplingProfiler(const obs::MethodMap &map,
 }
 
 void
-SamplingProfiler::onEvent(const TraceEvent &ev)
+SamplingProfiler::onSteps(const Step *steps, std::size_t n)
 {
-    // Finish the previous event's deferred push/pop (see header
-    // member comment), then move the tracker to this event's
-    // attribution point.
-    if (hasPending_)
-        tracker_.finish(pendingEv_);
+    for (std::size_t i = 0; i < n; ++i)
+        step(steps[i]);
+}
+
+void
+SamplingProfiler::step(const Step &s)
+{
+    const TraceEvent &ev = s.ev;
     tracker_.begin(ev);
-    pendingEv_ = ev;
-    hasPending_ = true;
-    lastKind_ = ev.kind;
-
-    if (!opt_.cycleClock) {
-        ++clock_;
-        maybeSample(ev.phase, ev.kind);
-    }
-}
-
-void
-SamplingProfiler::onRetire(const CpiSample &s)
-{
-    if (!opt_.cycleClock)
-        return;
-    clock_ += s.total();
-    maybeSample(s.phase, lastKind_);
-}
-
-void
-SamplingProfiler::maybeSample(Phase phase, NKind kind)
-{
+    clock_ += opt_.cycleClock ? s.cycles() : 1;
     // A single retired instruction can jump the clock past several
     // thresholds (a long miss penalty); cycle-proportional sampling
     // takes one sample per crossing, all at the same stack.
     while (clock_ >= nextAt_) {
-        takeSample(phase, kind);
+        takeSample(ev.phase, ev.kind);
         nextAt_ += jitteredGap(prng_, opt_.period);
     }
+    tracker_.finish(ev);
 }
 
 int

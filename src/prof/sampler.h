@@ -19,13 +19,15 @@
  * lockstep with loop periodicity, the fixed seed keeps every run
  * bit-reproducible. The sampling clock advances in simulated cycles
  * when the profiler observes a pipeline model (PipelineSim::observe,
- * as SamplePipeline does; one CpiSample per retired instruction) and
- * in events otherwise.
- * When the clock crosses a threshold the current stack is interned
- * into a sampled CCT and the sample is tagged with the event's phase
- * and opcode kind. Samples attribute at the same point the exact
- * profiler attributes — after abandoned-Translate close, before the
- * event's own push/pop — so a period-1 event-clock sampler
+ * as SamplePipeline does; each Step carries its instruction's CPI
+ * stack) and in events otherwise.
+ * Each step is handled in one call: move the shadow stack to the
+ * event's attribution point, advance the clock, and whenever it
+ * crosses a threshold intern the current stack into a sampled CCT,
+ * tagged with the event's phase and opcode kind; then apply the
+ * event's own push/pop. Samples thus attribute at the same point the
+ * exact profiler attributes — after abandoned-Translate close, before
+ * the event's own push/pop — so a period-1 event-clock sampler
  * reproduces CctBuilder's per-context event counts exactly (tested).
  *
  * Sampling is read-only on the stream: a SamplePipeline's model is
@@ -75,9 +77,9 @@ struct SampleOptions {
     /** Shadow-stack depth bound (prof/frame_tracker.h). */
     std::size_t maxDepth = 1024;
     /**
-     * When true the clock advances by each retired instruction's
-     * CpiSample cycles (requires observing a PipelineSim, as
-     * SamplePipeline does); when false, by one per trace event.
+     * When true the clock advances by each step's CPI-stack cycles
+     * (requires observing a PipelineSim, as SamplePipeline does);
+     * when false, by one per trace event.
      */
     bool cycleClock = false;
 };
@@ -116,12 +118,7 @@ class SamplingProfiler : public StreamObserver {
     explicit SamplingProfiler(const obs::MethodMap &map,
                               Options opt = {});
 
-    // --- TraceSink (subscribe *before* the model, like CctBuilder)
-    void onEvent(const TraceEvent &ev) override;
-    void onFinish() override {}
-
-    // --- OutcomeListener (fed by an observed pipeline; cycle clock)
-    void onRetire(const CpiSample &s) override;
+    void onSteps(const Step *steps, std::size_t n) override;
 
     /** All nodes; index 0 is the root. Parent/kids index into this. */
     const std::vector<SampleNode> &nodes() const { return nodes_; }
@@ -161,8 +158,8 @@ class SamplingProfiler : public StreamObserver {
     std::string runJson(const std::string &label) const;
 
   private:
+    void step(const Step &s);
     int childOf(int parent, const Frame &f);
-    void maybeSample(Phase phase, NKind kind);
     void takeSample(Phase phase, NKind kind);
     template <class Fn>
     void walk(int n, std::vector<int> &path, Fn &&fn) const;
@@ -177,12 +174,6 @@ class SamplingProfiler : public StreamObserver {
     std::uint64_t nextAt_ = 0;  ///< clock value of the next sample
     std::uint64_t samples_ = 0;
     std::uint64_t kindSamples_[kNumNKinds] = {};
-    // The event whose push/pop is still pending (cycle clock: its
-    // CpiSample arrives after onEvent, and must see the stack at the
-    // attribution point — before the event's own push/pop).
-    TraceEvent pendingEv_;
-    bool hasPending_ = false;
-    NKind lastKind_ = NKind::Nop;
 };
 
 /**

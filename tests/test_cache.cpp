@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <list>
+#include <vector>
+
 #include "arch/cache/cache.h"
 #include "arch/cache/time_series.h"
+#include "support/random.h"
 #include "vm/runtime/vm_error.h"
 
 namespace jrs {
@@ -226,6 +230,113 @@ TEST(TimeSeries, TranslatePhaseCounted)
     ASSERT_EQ(ts.samples().size(), 1u);
     EXPECT_EQ(ts.samples()[0].translateEvents, 10u);
     EXPECT_GE(ts.samples()[0].dWriteMisses, 1u);
+}
+
+/**
+ * The textbook model Cache must match: each set a list of lines,
+ * most recently used first, evicting from the back.
+ */
+class ListLru {
+  public:
+    explicit ListLru(CacheConfig cfg)
+        : cfg_(cfg), sets_(cfg.numSets()) {}
+
+    bool access(std::uint64_t addr, bool isWrite) {
+        const std::uint64_t line = addr / cfg_.lineBytes;
+        std::list<std::uint64_t> &set = sets_[line % sets_.size()];
+        for (auto it = set.begin(); it != set.end(); ++it) {
+            if (*it == line) {
+                set.erase(it);
+                set.push_front(line);
+                return true;
+            }
+        }
+        if (isWrite && !cfg_.writeAllocate)
+            return false;
+        set.push_front(line);
+        if (set.size() > cfg_.assoc)
+            set.pop_back();
+        return false;
+    }
+
+  private:
+    CacheConfig cfg_;
+    std::vector<std::list<std::uint64_t>> sets_;
+};
+
+/** Replay @p addrs through Cache and ListLru; they must agree. */
+void
+expectMatchesListLru(CacheConfig cfg,
+                     const std::vector<std::uint64_t> &addrs,
+                     std::uint64_t seed)
+{
+    Cache c(cfg);
+    ListLru ref(cfg);
+    XorShift64 rng(seed);
+    CacheStats want;
+    CacheStats wantPhase[kNumPhases];
+    for (std::size_t i = 0; i < addrs.size(); ++i) {
+        const bool write = rng.nextBounded(4) == 0;
+        const auto phase =
+            static_cast<Phase>(rng.nextBounded(kNumPhases));
+        const bool hit = ref.access(addrs[i], write);
+        ASSERT_EQ(c.access(addrs[i], write, phase), hit)
+            << "access " << i << " addr " << addrs[i];
+        for (CacheStats *st :
+             {&want, &wantPhase[static_cast<std::size_t>(phase)]}) {
+            ++(write ? st->writes : st->reads);
+            if (!hit)
+                ++(write ? st->writeMisses : st->readMisses);
+        }
+    }
+    const auto same = [](const CacheStats &a, const CacheStats &b) {
+        return a.reads == b.reads && a.writes == b.writes
+            && a.readMisses == b.readMisses
+            && a.writeMisses == b.writeMisses;
+    };
+    EXPECT_TRUE(same(c.stats(), want));
+    for (std::size_t p = 0; p < kNumPhases; ++p)
+        EXPECT_TRUE(same(c.phaseStats(static_cast<Phase>(p)),
+                         wantPhase[p]))
+            << "phase " << p;
+}
+
+TEST(Cache, MatchesListLruReference)
+{
+    // 1 KiB of 32-byte lines: assoc 32 is fully associative.
+    for (const std::uint32_t assoc : {1u, 2u, 4u, 32u}) {
+        for (const bool allocate : {true, false}) {
+            SCOPED_TRACE("assoc " + std::to_string(assoc)
+                         + (allocate ? " write-allocate"
+                                     : " write-no-allocate"));
+            const CacheConfig cfg{1024, 32, assoc, allocate};
+            const std::uint64_t setStride =
+                static_cast<std::uint64_t>(cfg.numSets())
+                * cfg.lineBytes;
+
+            // Random addresses over 4x the capacity: hits, misses,
+            // fills of empty ways and evictions all happen.
+            XorShift64 rng(assoc * 2 + allocate);
+            std::vector<std::uint64_t> random;
+            for (int i = 0; i < 20000; ++i)
+                random.push_back(0x5000'0000 + rng.nextBounded(4096));
+            expectMatchesListLru(cfg, random, 7);
+
+            // Conflict strides: assoc + 1 lines of one set cycled,
+            // and a hot line re-touched between the others.
+            std::vector<std::uint64_t> conflict;
+            for (int round = 0; round < 200; ++round) {
+                for (std::uint32_t k = 0; k <= assoc; ++k) {
+                    conflict.push_back(0x40 + k * setStride);
+                    if (k % 2 == 0)
+                        conflict.push_back(0x40);
+                }
+                conflict.push_back(0x40 + (round % 3) * setStride
+                                   + setStride * assoc * 2);
+            }
+            expectMatchesListLru(cfg, conflict, 11);
+        }
+    }
 }
 
 } // namespace

@@ -13,9 +13,11 @@
 #include <vector>
 
 #include "harness/experiment.h"
+#include "isa/address_map.h"
 #include "isa/trace_buffer.h"
 #include "obs/attribution.h"
 #include "obs/obs.h"
+#include "support/random.h"
 #include "sweep/sweep.h"
 #include "workloads/workload.h"
 
@@ -277,6 +279,68 @@ TEST(ObsAttribution, ConservesEveryPhaseAndAttributesHotCode)
                   0.99 * static_cast<double>(total))
             << phaseName(phase);
     }
+}
+
+/**
+ * Every address within +-8 of each range boundary of @p map, plus
+ * seeded random addresses in each of the first ten segments and far
+ * above them, resolve through MethodContext exactly as rowOf does.
+ */
+void
+expectFastPathExact(const obs::MethodMap &map, std::uint64_t seed)
+{
+    std::vector<SimAddr> addrs;
+    map.forEachRange([&](SimAddr lo, SimAddr hi, const std::string &) {
+        for (const SimAddr edge : {lo, hi}) {
+            for (SimAddr d = 0; d <= 16; ++d)
+                addrs.push_back(edge - 8 + d);
+        }
+    });
+    XorShift64 rng(seed);
+    for (SimAddr segIdx = 0; segIdx <= 10; ++segIdx) {
+        const SimAddr base =
+            segIdx < 10 ? segIdx * seg::kSegmentSize : ~SimAddr{0} - 4096;
+        for (int i = 0; i < 2000; ++i)
+            addrs.push_back(base + rng.nextBounded(seg::kSegmentSize));
+    }
+    addrs.push_back(0);
+    addrs.push_back(~SimAddr{0});
+    // In order (runs of neighbours share a cached span), then
+    // shuffled (the cache keeps missing).
+    obs::MethodContext ctx(map);
+    for (const SimAddr a : addrs)
+        ASSERT_EQ(ctx.rowOf(a), map.rowOf(a)) << std::hex << a;
+    for (std::size_t i = addrs.size(); i > 1; --i)
+        std::swap(addrs[i - 1], addrs[rng.nextBounded(i)]);
+    for (const SimAddr a : addrs)
+        ASSERT_EQ(ctx.rowOf(a), map.rowOf(a)) << std::hex << a;
+}
+
+TEST(ObsAttribution, ContextFastPathEqualsRowOf)
+{
+    // A recorded run's map: bytecode and generated-code ranges.
+    const WorkloadInfo &w = tiny("compress");
+    RunSpec spec;
+    spec.workload = &w;
+    spec.arg = w.tinyArg;
+    spec.policy = std::make_shared<CounterPolicy>(2);
+    const RecordedRun rec = recordWorkload(spec);
+    ASSERT_GT(rec.methods->rows(), 0u);
+    expectFastPathExact(*rec.methods, 1);
+
+    // Hand-built: adjacent ranges, one spanning a segment boundary,
+    // ranges at the bottom and the top of the address space.
+    obs::MethodMap map;
+    map.add(0, 16, "bottom");
+    map.add(seg::kClassData, seg::kClassData + 64, "a");
+    map.add(seg::kClassData + 64, seg::kClassData + 96, "b");
+    map.add(seg::kClassData + 96, seg::kClassData + 200, "a");
+    map.add(seg::kCodeCache - 32, seg::kCodeCache + 32, "straddle");
+    map.add(~SimAddr{0} - 64, ~SimAddr{0} - 1, "top");
+    expectFastPathExact(map, 2);
+
+    const obs::MethodMap empty;
+    expectFastPathExact(empty, 3);
 }
 
 /** CountingSink as a sweep model: phase totals become metrics. */

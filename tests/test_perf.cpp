@@ -20,6 +20,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <ostream>
 #include <memory>
 #include <string>
 #include <tuple>
@@ -32,6 +33,8 @@
 #include "isa/trace_buffer.h"
 #include "obs/cli.h"
 #include "obs/perf.h"
+#include "prof/cct.h"
+#include "prof/sampler.h"
 #include "sweep/observers.h"
 #include "sweep/sweep.h"
 #include "vm/engine/policy.h"
@@ -481,6 +484,129 @@ TEST(Perf, MethodsSidecarRoundTripsThroughDiskCache)
               viaSidecar.perf()
                   .methodCell(viaSidecar.perf().map().rows())
                   .cycles());
+}
+
+/** FNV-1a over the bytes of @p text. */
+std::uint64_t
+fnv1a(const std::string &text)
+{
+    std::uint64_t h = 1469598103934665603ull;
+    for (const char c : text) {
+        h ^= static_cast<unsigned char>(c);
+        h *= 1099511628211ull;
+    }
+    return h;
+}
+
+/** Every profiler output of one stream, as pinned digests. */
+struct ProfilerDigests {
+    const char *workload;
+    const char *mode;
+    std::uint64_t perf;          ///< pipeline, Program + timeline
+    std::uint64_t caches;        ///< AttributedCaches
+    std::uint64_t cctJson;
+    std::uint64_t cctFolded;
+    std::uint64_t sampleCycles;  ///< SamplePipeline, cycle clock
+    std::uint64_t sampleEvents;  ///< fed straight, event clock
+
+    bool operator==(const ProfilerDigests &o) const {
+        return perf == o.perf && caches == o.caches
+            && cctJson == o.cctJson && cctFolded == o.cctFolded
+            && sampleCycles == o.sampleCycles
+            && sampleEvents == o.sampleEvents;
+    }
+};
+
+std::ostream &
+operator<<(std::ostream &os, const ProfilerDigests &d)
+{
+    return os << std::hex << "{\"" << d.workload << "\", \"" << d.mode
+              << "\", 0x" << d.perf << "ull, 0x" << d.caches
+              << "ull, 0x" << d.cctJson << "ull, 0x" << d.cctFolded
+              << "ull, 0x" << d.sampleCycles << "ull, 0x"
+              << d.sampleEvents << "ull}" << std::dec;
+}
+
+ProfilerDigests
+digestProfilers(const char *workload, const char *mode)
+{
+    const WorkloadInfo *w = findWorkload(workload);
+    const Program prog = w->build();
+    const RecordedRun rec = recordTiny(workload, mode);
+    ProfilerDigests d{workload, mode, 0, 0, 0, 0, 0, 0};
+
+    obs::PerfOptions popt;
+    popt.program = &prog;
+    popt.timelineWindow = 5000;
+    obs::AttributedPipeline perf(PipelineConfig{}, rec.methods, popt);
+    rec.trace->replay(perf);
+    obs::PerfReportSet perfSet;
+    perfSet.add("run", perf.perf());
+    d.perf = fnv1a(perfSet.toJson());
+
+    obs::AttributedCaches caches(CacheConfig{}, CacheConfig{},
+                                 rec.methods);
+    rec.trace->replay(caches);
+    obs::PerfReportSet cacheSet;
+    cacheSet.add("run", caches.perf());
+    d.caches = fnv1a(cacheSet.toJson());
+
+    prof::CctPipeline cct(PipelineConfig{}, rec.methods);
+    rec.trace->replay(cct);
+    prof::CctReportSet cctSet;
+    cctSet.add("run", cct.cct());
+    d.cctJson = fnv1a(cctSet.toJson());
+    std::string folded;
+    for (const prof::FoldedLine &l : cct.cct().foldedLines())
+        folded += l.stack + " " + std::to_string(l.value) + "\n";
+    d.cctFolded = fnv1a(folded);
+
+    prof::SamplePipeline cycles(PipelineConfig{}, rec.methods);
+    rec.trace->replay(cycles);
+    prof::SampleReportSet cycleSet;
+    cycleSet.add("run", cycles.sampler());
+    d.sampleCycles = fnv1a(cycleSet.toJson());
+
+    prof::SampleOptions eventClock;
+    eventClock.period = 512;
+    prof::SamplingProfiler events(*rec.methods, eventClock);
+    rec.trace->replay(events);
+    prof::SampleReportSet eventSet;
+    eventSet.add("run", events);
+    d.sampleEvents = fnv1a(eventSet.toJson());
+    return d;
+}
+
+TEST(Perf, ProfilerOutputsMatchPinnedDigests)
+{
+    // Every profiler's report on six tiny streams, pinned. A change
+    // here means some report changed: re-pin only when that change is
+    // intended (the failure message prints the new table).
+    const ProfilerDigests pinned[] = {
+        {"compress", "interp", 0x462bb81ef545e4ecull, 0x348d74c39c9aea28ull,
+         0x643c0b3f49538472ull, 0xd6fe9b6d25cced19ull,
+         0x093dbb5a0e2c82ddull, 0x6a5f5f95251856ccull},
+        {"compress", "jit", 0x3df9d5e5cf288c32ull, 0xb31ff7d0dd26e974ull,
+         0x82c53916e95ad4e1ull, 0xce50d51c68393857ull,
+         0x28d80f971ef7c5faull, 0x9383aecb493f691eull},
+        {"mpeg", "interp", 0x541863fbdbfd8086ull, 0x70c0b0ebaae65446ull,
+         0xb67b78194df010b8ull, 0x1ec434b6e22cd45full,
+         0x90756d8b73181ccdull, 0xa4743d90ca2aae9aull},
+        {"mpeg", "jit", 0x4dda8f71b60d8131ull, 0xc2f73c9447076b5aull,
+         0x2deedd4b26e8fdc6ull, 0xc462cfd7c38f1ce0ull,
+         0x866bed791d92b444ull, 0xa6ecb69e1ff925caull},
+        {"db", "interp", 0x53f53b5be59ed904ull, 0x89e572aa4f5c4c68ull,
+         0x8a17c0fd20478259ull, 0xef56d2920d1cfb94ull,
+         0x860a13d9b0027790ull, 0x59ff3b7e13eb3e1aull},
+        {"db", "jit", 0x73642cb945d8abc2ull, 0xe8fbd0c352f571fbull,
+         0xb4932b0793511ceaull, 0x4aeb0a31ae54a199ull,
+         0x9ef52a869972ee4full, 0x83885d8d6c20af41ull},
+    };
+    for (const ProfilerDigests &want : pinned) {
+        const ProfilerDigests got =
+            digestProfilers(want.workload, want.mode);
+        EXPECT_EQ(got, want);
+    }
 }
 
 } // namespace

@@ -227,6 +227,38 @@ TEST(Sampler, ExactProfilerUnperturbedWhenSharingReplay)
     EXPECT_EQ(sampled.pipeline().cycles(), solo.pipeline().cycles());
 }
 
+TEST(Sampler, TrackerCountersMatchCctOnSharedReplay)
+{
+    // The sampler's shadow stack must apply every event's push/pop,
+    // the stream's last one included: hello/interp ends with a Ret
+    // at the root, which both trackers must count.
+    for (const char *workload : {"hello", "compress"}) {
+        for (const char *mode : {"interp", "jit"}) {
+            SCOPED_TRACE(std::string(workload) + "/" + mode);
+            const RecordedRun rec = recordTiny(workload, mode);
+            for (const bool cycleClock : {true, false}) {
+                prof::CctBuilder cct(*rec.methods);
+                prof::SampleOptions opt;
+                opt.cycleClock = cycleClock;
+                prof::SamplingProfiler sampler(*rec.methods, opt);
+                PipelineSim pipe{PipelineConfig{}};
+                pipe.observe(cct);
+                pipe.observe(sampler);
+                rec.trace->replay(pipe);
+                const prof::FrameTracker &t = sampler.tracker();
+                EXPECT_EQ(t.maxDepthSeen(), cct.maxDepthSeen());
+                EXPECT_EQ(t.unmatchedRets(), cct.unmatchedRets());
+                EXPECT_EQ(t.mismatchedRets(), cct.mismatchedRets());
+            }
+        }
+    }
+    // Fed straight from the stream, too.
+    const RecordedRun rec = recordTiny("hello", "interp");
+    prof::SamplingProfiler sampler(*rec.methods);
+    rec.trace->replay(sampler);
+    EXPECT_GT(sampler.tracker().unmatchedRets(), 0u);
+}
+
 TEST(FrameTracker, MirrorsCallRetDiscipline)
 {
     const obs::MethodMap map;
@@ -508,10 +540,10 @@ TEST(Sampler, JitteredGapStaysInBounds)
 
 TEST(Kinds, DefaultEventIndexesInsideEveryPerKindArray)
 {
-    // A default-constructed event carries NKind::Nop, and the sampler's
-    // cycle clock starts with Nop as the "last" kind. Live streams skip
-    // the JRSTRACE decode check, so every per-kind array must have a
-    // slot for it (AddressSanitizer reports the overflow otherwise).
+    // A default-constructed event (and so a default Step's) carries
+    // NKind::Nop. Live streams skip the JRSTRACE decode check, so
+    // every per-kind array must have a slot for it (AddressSanitizer
+    // reports the overflow otherwise).
     static_assert(static_cast<std::size_t>(NKind::Nop) < kNumNKinds);
     const TraceEvent ev{};
     ASSERT_EQ(ev.kind, NKind::Nop);
@@ -537,13 +569,14 @@ TEST(Kinds, DefaultEventIndexesInsideEveryPerKindArray)
     EXPECT_GT(byEvent.samples(), 0u);
     EXPECT_EQ(byEvent.kindSamples(NKind::Nop), byEvent.samples());
 
-    // A retirement before any event samples with the initial kind.
+    // A retired default step samples with its event's kind.
     prof::SampleOptions cycleClock = eventClock;
     cycleClock.cycleClock = true;
     prof::SamplingProfiler byCycle(none, cycleClock);
-    CpiSample retired;
-    retired.cycles[0] = 4;
-    byCycle.onRetire(retired);
+    Step retired;
+    retired.hasCpi = true;
+    retired.cpi[0] = 4;
+    byCycle.onSteps(&retired, 1);
     EXPECT_GT(byCycle.samples(), 0u);
     EXPECT_EQ(byCycle.kindSamples(NKind::Nop), byCycle.samples());
 }

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cerrno>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <stdexcept>
 #include <string>
@@ -301,6 +303,31 @@ TEST(TraceIo, FailedFinalFlushThrows)
     EXPECT_NE(err.find("trace write failed: /dev/full"),
               std::string::npos)
         << err;
+}
+
+TEST(TraceIo, WriterErrorsNameThePathAndTheCause)
+{
+    const std::string missing = "/nonexistent-jrs-dir/t.jrstrace";
+    const std::string open =
+        vmErrorOf([&] { TraceFileWriter w(missing); });
+    EXPECT_NE(open.find(missing + ": " + std::strerror(ENOENT)),
+              std::string::npos)
+        << open;
+
+    if (!std::filesystem::exists("/dev/full"))
+        GTEST_SKIP() << "/dev/full not available";
+    // More records than stdio buffers: a record write itself fails.
+    TraceFileWriter w("/dev/full");
+    TraceEvent ev;
+    ev.kind = NKind::IntAlu;
+    const std::string write = vmErrorOf([&] {
+        for (int i = 0; i < 100000; ++i)
+            w.onEvent(ev);
+    });
+    EXPECT_NE(write.find("trace record write failed: /dev/full: "
+                         + std::string(std::strerror(ENOSPC))),
+              std::string::npos)
+        << write;
 }
 
 } // namespace
