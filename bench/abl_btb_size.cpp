@@ -31,7 +31,6 @@ main(int argc, char **argv)
 
     sweep::SweepOptions opts;
     opts.jobs = args.jobs;
-    opts.cacheDir = args.cacheDir;
     obs::ObsReports reports;
     sweep::attachObservers(opts, args.obs, reports);
     sweep::SweepEngine engine(opts);
@@ -66,8 +65,7 @@ main(int argc, char **argv)
     t.print(std::cout);
     std::cout << "sweep: " << fixed(result.wallSeconds, 2) << "s, "
               << result.jobs << " jobs, "
-              << result.traces.recordings << " recordings, "
-              << result.traces.diskLoads << " disk loads\n";
+              << result.traces.recordings << " recordings\n";
 
     if (!args.json.empty())
         result.writeJson(args.json);

@@ -11,7 +11,7 @@
  * counter policy, interpreter fallback. The unlimited baseline row per
  * workload anchors the curve at zero overhead.
  *
- * Runs on the sweep engine; every bounded point records its own stream
+ * Runs on the sweep engine; every bounded point runs its own stream
  * (eviction changes what executes natively, so capacity and policy are
  * part of the stream identity).
  */
@@ -34,7 +34,6 @@ main(int argc, char **argv)
 
     sweep::SweepOptions opts;
     opts.jobs = args.jobs;
-    opts.cacheDir = args.cacheDir;
     obs::ObsReports reports;
     sweep::attachObservers(opts, args.obs, reports);
     sweep::SweepEngine engine(opts);
@@ -80,8 +79,7 @@ main(int argc, char **argv)
     t.print(std::cout);
     std::cout << "sweep: " << fixed(result.wallSeconds, 2) << "s, "
               << result.jobs << " jobs, "
-              << result.traces.recordings << " recordings, "
-              << result.traces.diskLoads << " disk loads\n";
+              << result.traces.recordings << " recordings\n";
 
     if (!args.json.empty())
         result.writeJson(args.json);

@@ -11,7 +11,7 @@
  * (sweep is linear in the window), copying pauses with the live set —
  * visible directly in the max-pause column.
  *
- * Runs on the sweep engine; every point records its own stream
+ * Runs on the sweep engine; every point runs its own stream
  * (collector traffic is part of the stream identity).
  */
 #include "bench_util.h"
@@ -33,7 +33,6 @@ main(int argc, char **argv)
 
     sweep::SweepOptions opts;
     opts.jobs = args.jobs;
-    opts.cacheDir = args.cacheDir;
     obs::ObsReports reports;
     sweep::attachObservers(opts, args.obs, reports);
     sweep::SweepEngine engine(opts);
@@ -69,8 +68,7 @@ main(int argc, char **argv)
     t.print(std::cout);
     std::cout << "sweep: " << fixed(result.wallSeconds, 2) << "s, "
               << result.jobs << " jobs, "
-              << result.traces.recordings << " recordings, "
-              << result.traces.diskLoads << " disk loads\n";
+              << result.traces.recordings << " recordings\n";
 
     if (!args.json.empty())
         result.writeJson(args.json);

@@ -80,7 +80,6 @@ header(const char *experiment, const char *paper_note)
 struct SweepBenchArgs {
     unsigned jobs = 0;        ///< 0 = hardware concurrency
     std::string json;         ///< --json: write the SweepResult
-    std::string cacheDir;     ///< --cache-dir: on-disk trace cache
     bool compareSerial = false;  ///< --compare-serial
     obs::ObsCli obs;          ///< --metrics/trace/perf-json (obs/cli.h)
 };
@@ -110,15 +109,13 @@ parseSweepBenchArgs(int argc, char **argv)
             }
         } else if (a == "--json") {
             out.json = next();
-        } else if (a == "--cache-dir") {
-            out.cacheDir = next();
         } else if (a == "--compare-serial") {
             out.compareSerial = true;
         } else if (out.obs.tryParse(a, next)) {
             continue;
         } else {
             std::cerr << "usage: " << argv[0]
-                      << " [--jobs N] [--json FILE] [--cache-dir DIR]"
+                      << " [--jobs N] [--json FILE]"
                          " [--compare-serial]"
                       << obs::ObsCli::usageText() << '\n';
             std::exit(2);

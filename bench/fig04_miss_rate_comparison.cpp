@@ -9,9 +9,7 @@
  * external baselines there too.)
  *
  * Runs on the sweep engine (`--jobs N`): one live VM run per
- * (workload, mode); with --cache-dir the streams are recorded instead,
- * and reused by any later sweep (fig07/fig08, the `all` grid) on the
- * same directory.
+ * (workload, mode) feeds every cache model of that stream.
  */
 #include "bench_util.h"
 #include "harness/paper_data.h"
@@ -33,7 +31,6 @@ main(int argc, char **argv)
 
     sweep::SweepOptions opts;
     opts.jobs = args.jobs;
-    opts.cacheDir = args.cacheDir;
     obs::ObsReports reports;
     sweep::attachObservers(opts, args.obs, reports);
     sweep::SweepEngine engine(opts);
@@ -72,8 +69,7 @@ main(int argc, char **argv)
     t.print(std::cout);
     std::cout << "sweep: " << fixed(result.wallSeconds, 2) << "s, "
               << result.jobs << " jobs, "
-              << result.traces.recordings << " recordings, "
-              << result.traces.diskLoads << " disk loads\n";
+              << result.traces.recordings << " recordings\n";
 
     if (!args.json.empty())
         result.writeJson(args.json);

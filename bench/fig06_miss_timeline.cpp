@@ -8,14 +8,13 @@
  * of methods are translated in rapid succession (visible here as
  * windows whose translate-event share and write-miss counts jump).
  *
- * Runs on the sweep engine (`--jobs N`, `--json FILE`, `--cache-dir
- * DIR`): each mode's stream is recorded once and replayed into an
- * attributed split L1 whose IntervalTimeline (obs/perf.h) provides
- * the windowed sampling — the window is sized to ~40 samples straight
- * from the recording's event count, so the old dry-run pass is gone.
- * `--compare-serial` also runs the original hand-rolled
- * TimeSeriesCacheSink on a live VM run and asserts both paths produce
- * bit-identical curves.
+ * Runs on the sweep engine (`--jobs N`, `--json FILE`): each mode's
+ * stream feeds, live, an attributed split L1 whose IntervalTimeline
+ * (obs/perf.h) provides the windowed sampling. The window is sized to
+ * ~40 samples of the stream, so each point first counts its stream
+ * with an unobserved VM run. `--compare-serial` also runs the
+ * original hand-rolled TimeSeriesCacheSink on a live VM run and
+ * asserts both paths produce bit-identical curves.
  */
 #include "arch/cache/time_series.h"
 #include "bench_util.h"
@@ -44,19 +43,17 @@ dMisses(const obs::IntervalSample &s)
 sweep::SweepPoint
 timelinePoint(bool jit, Curve *out)
 {
+    const sweep::TraceKey key = sweep::traceKey(
+        "db", jit ? sweep::ExecMode::jit() : sweep::ExecMode::interp());
     return sweep::makePoint<obs::AttributedCaches>(
-        std::string("fig06/db/") + (jit ? "jit" : "interp"),
-        sweep::traceKey("db", jit ? sweep::ExecMode::jit()
-                                  : sweep::ExecMode::interp()),
-        [](const RecordedRun &run) {
+        std::string("fig06/db/") + (jit ? "jit" : "interp"), key,
+        [key](const RecordedRun &run) {
             obs::PerfOptions popt;
             popt.timelineWindow = std::max<std::uint64_t>(
-                1, run.trace->size() / kTargetWindows);
-            auto map = run.methods != nullptr
-                ? run.methods
-                : std::make_shared<const obs::MethodMap>();
+                1, runWorkload(key.toRunSpec()).totalEvents
+                       / kTargetWindows);
             return std::make_unique<obs::AttributedCaches>(
-                kIcfg, kDcfg, std::move(map), popt);
+                kIcfg, kDcfg, run.methods, popt);
         },
         [out](obs::AttributedCaches &sink, const RecordedRun &) {
             const obs::PerfAttribution &perf = sink.perf();
@@ -168,7 +165,6 @@ main(int argc, char **argv)
     Curve interp, jit;
     sweep::SweepOptions opts;
     opts.jobs = args.jobs;
-    opts.cacheDir = args.cacheDir;
     obs::ObsReports reports;
     sweep::attachObservers(opts, args.obs, reports);
     sweep::SweepEngine engine(opts);
@@ -187,8 +183,7 @@ main(int argc, char **argv)
     printSeries("jit", jit);
     std::cout << "sweep: " << fixed(result.wallSeconds, 2) << "s, "
               << result.jobs << " jobs, "
-              << result.traces.recordings << " recordings, "
-              << result.traces.diskLoads << " disk loads\n";
+              << result.traces.recordings << " recordings\n";
 
     if (!args.json.empty())
         result.writeJson(args.json);

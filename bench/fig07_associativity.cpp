@@ -7,12 +7,10 @@
  * step from direct-mapped to 2-way.
  *
  * This bench runs on the sweep engine: each (workload, mode) stream
- * is produced once and feeds the four associativity models (live,
- * unless --cache-dir or a profiler flag makes the groups record), with
- * streams processed in parallel across `--jobs` workers.
- * `--compare-serial` also runs the grid again on a shared trace cache
- * (record-then-replay) and the pre-sweep implementation (one live VM
- * run per stream, fanned out serially), and checks all three produce
+ * is produced once, live, and feeds the four associativity models,
+ * with streams processed in parallel across `--jobs` workers.
+ * `--compare-serial` also runs the pre-sweep implementation (one live
+ * VM run per stream, fanned out serially) and checks both produce
  * bit-identical miss rates.
  */
 #include "arch/cache/cache.h"
@@ -105,7 +103,6 @@ main(int argc, char **argv)
 
     sweep::SweepOptions opts;
     opts.jobs = args.jobs;
-    opts.cacheDir = args.cacheDir;
     obs::ObsReports reports;
     sweep::attachObservers(opts, args.obs, reports);
     sweep::SweepEngine engine(opts);
@@ -139,32 +136,18 @@ main(int argc, char **argv)
     t.print(std::cout);
     std::cout << "sweep: " << fixed(result.wallSeconds, 2) << "s, "
               << result.jobs << " jobs, "
-              << result.traces.recordings << " recordings, "
-              << result.traces.memoryHits << " memory hits, "
-              << result.traces.diskLoads << " disk loads\n";
+              << result.traces.recordings << " recordings\n";
 
     if (!args.json.empty())
         result.writeJson(args.json);
 
     if (args.compareSerial) {
-        // Recorded pass: an explicit shared trace cache makes every
-        // group record its stream and replay it, so the check covers
-        // the record-then-replay path as well as the live one above.
-        sweep::SweepOptions recordedOpts;
-        recordedOpts.jobs = args.jobs;
-        recordedOpts.cache = std::make_shared<sweep::TraceCache>();
-        const sweep::SweepResult recorded =
-            sweep::SweepEngine(recordedOpts).run(sweep::buildFig07Grid());
         const SerialBaseline serial = runSerialBaseline();
-        const bool same =
-            identical(serial, result) && identical(serial, recorded);
+        const bool same = identical(serial, result);
         std::cout << "\nserial " << fixed(serial.seconds, 2)
                   << "s | sweep cold " << fixed(result.wallSeconds, 2)
                   << "s (" << fixed(serial.seconds
                                         / result.wallSeconds, 2)
-                  << "x) | sweep recorded "
-                  << fixed(recorded.wallSeconds, 2) << "s ("
-                  << fixed(serial.seconds / recorded.wallSeconds, 2)
                   << "x) | results bit-identical: "
                   << (same ? "yes" : "NO") << '\n';
         if (!same) {

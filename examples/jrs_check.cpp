@@ -24,16 +24,14 @@
  *                        when a collector is on and no trigger given
  *       --gc-budget N    collect every N allocated bytes
  *
- *   jrs_check lint-trace <file.jrstrace> [--no-sidecars]
- *   jrs_check lint-trace --cache-dir DIR
- *       Validate on-disk JRSTRACE streams; with sidecar checking
- *       (default for --cache-dir) the `.meta` and `.methods` files
- *       must exist, parse, and agree with the stream.
+ *   jrs_check lint-trace <file.jrstrace>
+ *       Validate a JRSTRACE stream (e.g. one `jrs_run --trace-out`
+ *       wrote): header, record decode and every per-event invariant.
  *
  * Examples:
  *   jrs_check fuzz --seeds 500 --jobs 8
  *   jrs_check diff --all-workloads
- *   jrs_check lint-trace --cache-dir /tmp/jrs-traces
+ *   jrs_check lint-trace compress.jrstrace
  */
 #include <cstdlib>
 #include <iostream>
@@ -61,8 +59,7 @@ usage(const char *msg = nullptr)
            "                 [--collector nogc|marksweep|copying|all]\n"
            "                 [--heap-bytes N] [--gc-every N]"
            " [--gc-budget N]\n"
-           "       jrs_check lint-trace <file.jrstrace> [--no-sidecars]\n"
-           "       jrs_check lint-trace --cache-dir DIR\n";
+           "       jrs_check lint-trace <file.jrstrace>\n";
     std::exit(2);
 }
 
@@ -309,50 +306,10 @@ printLint(const std::string &name, const check::LintResult &r)
 int
 cmdLintTrace(int argc, char **argv)
 {
-    std::string file;
-    std::string cacheDir;
-    bool sidecars = true;
-    bool sidecarsForced = false;
-    for (int i = 0; i < argc; ++i) {
-        const std::string a = argv[i];
-        auto next = [&]() -> std::string {
-            if (i + 1 >= argc)
-                usage("missing value");
-            return argv[++i];
-        };
-        if (a == "--cache-dir") {
-            cacheDir = next();
-        } else if (a == "--no-sidecars") {
-            sidecars = false;
-            sidecarsForced = true;
-        } else if (!a.empty() && a[0] != '-' && file.empty()) {
-            file = a;
-        } else {
-            usage("unknown lint-trace option");
-        }
-    }
-    if (cacheDir.empty() == file.empty())
-        usage("lint-trace takes one trace file or --cache-dir");
-
-    if (!cacheDir.empty()) {
-        if (sidecarsForced && !sidecars)
-            usage("--no-sidecars applies to single-file mode only");
-        const auto results = check::lintCacheDir(cacheDir);
-        if (results.empty()) {
-            std::cout << "lint-trace: no .jrstrace files in "
-                      << cacheDir << "\n";
-            return 0;
-        }
-        bool ok = true;
-        for (const auto &[name, r] : results) {
-            printLint(name, r);
-            ok = ok && r.ok;
-        }
-        return ok ? 0 : 1;
-    }
-
-    const check::LintResult r = check::lintTraceFile(file, sidecars);
-    printLint(file, r);
+    if (argc != 1 || argv[0][0] == '-')
+        usage("lint-trace takes one trace file");
+    const check::LintResult r = check::lintTraceFile(argv[0]);
+    printLint(argv[0], r);
     return r.ok ? 0 : 1;
 }
 

@@ -3,10 +3,12 @@
  * jrs_perf — per-method / per-bytecode microarchitectural attribution
  * for one workload run.
  *
- * Records a workload's dynamic native stream, replays it once through
- * an architecture model with a perf-attribution pass attached
- * (obs/perf.h), and reports where the cycles, cache misses and branch
+ * Runs a workload with an architecture model and a perf-attribution
+ * pass (obs/perf.h) fed by its dynamic native stream as the VM emits
+ * it, and reports where the cycles, cache misses and branch
  * mispredicts went — per method, per opcode, and per bytecode site.
+ * Methods are named against a map that follows the run's code cache,
+ * so code that a bounded cache evicts is still charged to its method.
  *
  *   jrs_perf report <workload> [options]    top-N method/opcode tables
  *   jrs_perf annotate <workload> [options]  per-bytecode-site view
@@ -55,7 +57,6 @@
 
 #include "arch/cache/cache.h"
 #include "arch/pipeline/pipeline.h"
-#include "isa/trace_buffer.h"
 #include "obs/cli.h"
 #include "obs/obs.h"
 #include "obs/perf.h"
@@ -323,10 +324,14 @@ main(int argc, char **argv)
 
     cli.setup();
 
-    // Record the run once (the Shade step), then attribute offline.
+    // One live run feeds every model and profiler (the Shade step:
+    // the VM drives the simulators directly).
     const Program prog = w->build();
+    const auto map =
+        std::make_shared<obs::MethodMap>(obs::MethodMap::follow(prog));
     EngineConfig cfg;
     cfg.policy = parseMode(mode);
+    cfg.codeObserver = map.get();
     gcCli.apply(cfg);
     ccCli.apply(cfg);
     std::shared_ptr<SharedCodeCache> sharedCache;
@@ -335,28 +340,13 @@ main(int argc, char **argv)
         cfg.sharedCodeCache = sharedCache;
         cfg.sharedProgramKey = w->name;
     }
-    TraceBuffer buffer;
-    cfg.sink = &buffer;
-    ExecutionEngine engine(prog, cfg);
-    const RunResult res = engine.run(arg);
-    if (!res.completed) {
-        std::cerr << w->name << " did not complete: "
-                  << (res.uncaughtException != nullptr
-                          ? res.uncaughtException
-                          : "unknown")
-                  << '\n';
-        return 1;
-    }
-    const auto map = std::make_shared<const obs::MethodMap>(
-        obs::MethodMap::forRun(engine.registry(), engine.codeCache()));
 
     obs::PerfOptions popt;
     popt.timelineWindow = window;
     popt.program = &prog;
 
-    // One replay feeds every profiler: the perf pass rides the chosen
-    // model, the CCT and the sampler ride the pipeline (the same one
-    // in pipeline mode).
+    // The perf pass rides the chosen model, the CCT and the sampler
+    // ride the pipeline (the same one in pipeline mode).
     obs::Observers profs = cli.observers(*map, popt);
     if (profs.perf == nullptr)
         profs.perf = std::make_unique<obs::PerfAttribution>(*map, popt);
@@ -376,7 +366,17 @@ main(int argc, char **argv)
         if (profs.cct != nullptr || profs.sampler != nullptr)
             models.add(&pipe);
     }
-    buffer.replay(models);
+    cfg.sink = &models;
+    ExecutionEngine engine(prog, cfg);
+    const RunResult res = engine.run(arg);
+    if (!res.completed) {
+        std::cerr << w->name << " did not complete: "
+                  << (res.uncaughtException != nullptr
+                          ? res.uncaughtException
+                          : "unknown")
+                  << '\n';
+        return 1;
+    }
     const obs::PerfAttribution &perf = *profs.perf;
     const std::string label = std::string(w->name) + "/" + mode;
     obs::ObsReports reports;

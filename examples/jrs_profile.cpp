@@ -2,13 +2,12 @@
  * @file
  * jrs_profile — hot-method attribution for one workload run.
  *
- * Runs a workload while recording its dynamic native stream, then
- * joins the phase-tagged stream with the run's method map (bytecode
- * ranges + JIT code-cache ranges) and prints the top-N methods by
- * simulated native instructions for every execution phase. This is
- * the paper's phase accounting with the "which method?" dimension
- * added — entirely offline, from the same record-once stream the
- * sweep engine uses.
+ * Runs a workload and joins its phase-tagged native stream, as the VM
+ * emits it, with a method map that follows the run (bytecode ranges
+ * + JIT code-cache ranges as they are installed and evicted), then
+ * prints the top-N methods by simulated native instructions for every
+ * execution phase. This is the paper's phase accounting with the
+ * "which method?" dimension added.
  *
  *   jrs_profile <workload> [options]
  *
@@ -21,8 +20,8 @@
  *   --metrics-json FILE          write a jrs-metrics-v1 snapshot
  *   --trace-json FILE            write Chrome trace-event JSON
  *                                (open in Perfetto / chrome://tracing)
- *   --perf-json FILE             replay the recorded stream through a
- *                                perf-attribution pipeline and write a
+ *   --perf-json FILE             feed the stream to a perf-attribution
+ *                                pipeline and write a
  *                                jrs-perf-report-v1 report (per-method
  *                                CPI stacks, miss/mispredict profiles)
  *   --cct-json FILE              jrs-cct-v1 calling-context tree
@@ -58,7 +57,6 @@
 #include <string>
 
 #include "arch/pipeline/pipeline.h"
-#include "isa/trace_buffer.h"
 #include "obs/attribution.h"
 #include "obs/cli.h"
 #include "obs/json.h"
@@ -125,29 +123,39 @@ parseLong(const std::string &v, const char *what)
 
 using obs::jsonEscape;
 
-/** One recorded run: the stream plus everything needed to join it. */
-struct Recorded {
+/** One run and the method map that follows it. */
+struct Observed {
     std::string label;
     Program prog;
-    TraceBuffer buffer;
-    std::shared_ptr<const obs::MethodMap> map;
+    std::shared_ptr<obs::MethodMap> map;
     RunResult res;
 };
 
-/** Run @p w once, recording; exits non-zero on an incomplete run. */
-Recorded
-record(const WorkloadInfo *w, const std::string &mode,
-       std::int32_t arg, const obs::GcCli &gcCli)
+/** Build @p w's program and the map that will follow its run. */
+Observed
+prepare(const WorkloadInfo *w, const std::string &mode,
+        const obs::GcCli &gcCli)
 {
-    Recorded r;
+    Observed r;
     r.label = std::string(w->name) + "/" + mode;
     if (gcCli.enabled())
         r.label += std::string("/") + gc::collectorName(
             gcCli.gc.collector);
     r.prog = w->build();
+    r.map = std::make_shared<obs::MethodMap>(
+        obs::MethodMap::follow(r.prog));
+    return r;
+}
+
+/** Run @p r feeding @p sink; exits non-zero on an incomplete run. */
+void
+run(Observed &r, const WorkloadInfo *w, const std::string &mode,
+    std::int32_t arg, const obs::GcCli &gcCli, TraceSink &sink)
+{
     EngineConfig cfg;
     cfg.policy = parseMode(mode);
-    cfg.sink = &r.buffer;
+    cfg.sink = &sink;
+    cfg.codeObserver = r.map.get();
     gcCli.apply(cfg);
     ExecutionEngine engine(r.prog, cfg);
     r.res = engine.run(arg);
@@ -159,9 +167,6 @@ record(const WorkloadInfo *w, const std::string &mode,
                   << '\n';
         std::exit(1);
     }
-    r.map = std::make_shared<const obs::MethodMap>(
-        obs::MethodMap::forRun(engine.registry(), engine.codeCache()));
-    return r;
 }
 
 } // namespace
@@ -227,13 +232,28 @@ main(int argc, char **argv)
 
     cli.setup();
 
-    // Record the run's native stream, then join it offline with the
-    // method map built from the finished engine's registry and code
-    // cache (the map needs the post-run cache: methods get their
-    // code-cache addresses as they are compiled).
-    Recorded base = record(w, mode, arg, gcCli);
+    // One live run feeds the attribution sink and every profiler asked
+    // for: the perf pass, the CCT (also for --flame-diff and
+    // --calibrate) and the sampler (also for --calibrate) all ride one
+    // pipeline, and each must conserve its cycles.
+    Observed base = prepare(w, mode, gcCli);
     obs::AttributionSink attr(*base.map);
-    base.buffer.replay(attr);
+    obs::PerfOptions popt;
+    popt.program = &base.prog;
+    obs::Observers profs = cli.observers(*base.map, popt);
+    if (profs.cct == nullptr && (calibrateRequested || diffRequested))
+        profs.cct = std::make_unique<prof::CctBuilder>(*base.map);
+    if (profs.sampler == nullptr && calibrateRequested)
+        profs.sampler = std::make_unique<prof::SamplingProfiler>(
+            *base.map, cli.sampleOptions());
+    PipelineSim pipe{PipelineConfig{}};
+    profs.attachTo(pipe);
+    MultiSink sinks;
+    sinks.add(&attr);
+    if (profs.perf != nullptr || profs.cct != nullptr
+        || profs.sampler != nullptr)
+        sinks.add(&pipe);
+    run(base, w, mode, arg, gcCli, sinks);
 
     std::cout << w->name << " --mode " << mode << " --arg " << arg
               << ": exit=" << base.res.exitValue << ", "
@@ -298,23 +318,6 @@ main(int argc, char **argv)
         std::cout << "\nwrote " << jsonPath << '\n';
     }
 
-    // One more offline replay feeds every profiler asked for: the
-    // perf pass, the CCT (also for --flame-diff and --calibrate) and
-    // the sampler (also for --calibrate) all ride one pipeline, and
-    // each must conserve its cycles.
-    obs::PerfOptions popt;
-    popt.program = &base.prog;
-    obs::Observers profs = cli.observers(*base.map, popt);
-    if (profs.cct == nullptr && (calibrateRequested || diffRequested))
-        profs.cct = std::make_unique<prof::CctBuilder>(*base.map);
-    if (profs.sampler == nullptr && calibrateRequested)
-        profs.sampler = std::make_unique<prof::SamplingProfiler>(
-            *base.map, cli.sampleOptions());
-    PipelineSim pipe{PipelineConfig{}};
-    profs.attachTo(pipe);
-    if (profs.perf != nullptr || profs.cct != nullptr
-        || profs.sampler != nullptr)
-        base.buffer.replay(pipe);
     if (!profs.conserves(pipe.cycles(), std::cerr))
         return 1;
     obs::ObsReports reports;
@@ -335,10 +338,10 @@ main(int argc, char **argv)
                       << diffCollector << "'\n";
             return 2;
         }
-        Recorded other = record(
-            w, diffMode.empty() ? mode : diffMode, arg, diffGc);
+        const std::string otherMode = diffMode.empty() ? mode : diffMode;
+        Observed other = prepare(w, otherMode, diffGc);
         prof::CctPipeline otherCct(PipelineConfig{}, other.map);
-        other.buffer.replay(otherCct);
+        run(other, w, otherMode, arg, diffGc, otherCct);
         prof::writeFoldedDiff(profs.cct->foldedLines(),
                               otherCct.cct().foldedLines(), flameDiff);
         std::cout << "wrote " << flameDiff << " (" << base.label

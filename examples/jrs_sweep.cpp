@@ -7,14 +7,9 @@
  *
  *   --jobs N           worker threads (default: hardware concurrency)
  *   --json FILE        write the SweepResult as JSON
- *   --cache-dir DIR    on-disk trace cache; groups record their
- *                      streams there, and a second invocation with the
- *                      same DIR replays them instead of re-running the
- *                      VM (without it, groups run live and keep no
- *                      stream)
  *   --quiet            suppress the per-point table
- *   --progress         live progress line on stderr (points done,
- *                      recordings/hits/loads from the metric registry)
+ *   --progress         live progress line on stderr (points and
+ *                      groups done, VM runs so far)
  *   --metrics-json F   write a jrs-metrics-v1 registry snapshot
  *   --trace-json F     write Chrome trace-event JSON of the sweep
  *                      (worker lanes; open in Perfetto)
@@ -27,11 +22,10 @@
  *                      group (--sample-period/--sample-seed select the
  *                      sampling knobs)
  *                      Every profiler asked for rides one pipeline fed
- *                      by the group's replay, without perturbing the
+ *                      by the group's VM run, without perturbing the
  *                      sweep's own metrics.
- *   --collector C      run every recording under collector C (nogc,
- *                      marksweep, copying); changes stream identity,
- *                      so cached GC-less recordings are not reused
+ *   --collector C      run every stream under collector C (nogc,
+ *                      marksweep, copying); changes stream identity
  *   --heap-bytes N     heap capacity override (k/m/g suffixes OK)
  *   --gc-budget N      collect every N allocated bytes
  *   --gc-every N       collect every N allocations (stress)
@@ -41,14 +35,13 @@
  *                      private translation, only host-side translate
  *                      work is saved
  *   --compare-serial   after the sweep, re-run the grid serially
- *                      (jobs=1, private translation, every stream
- *                      recorded into a fresh in-memory trace cache and
- *                      replayed) and fail unless every point's events
- *                      and metrics match bit-for-bit
+ *                      (jobs=1, private translation) and fail unless
+ *                      every point's events and metrics match
+ *                      bit-for-bit
  *
  * Examples:
  *   jrs_sweep fig07 --jobs 8 --progress
- *   jrs_sweep all --cache-dir /tmp/jrs-traces --json sweep.json
+ *   jrs_sweep all --json sweep.json
  *   jrs_sweep fig04 --jobs 4 --trace-json fig04.trace.json
  *   jrs_sweep fig09 --perf-json fig09.perf.json
  *   jrs_sweep code_cache --jobs 8 --shared-code-cache --compare-serial
@@ -72,7 +65,7 @@ usage(const char *msg = nullptr)
     if (msg != nullptr)
         std::cerr << "error: " << msg << "\n\n";
     std::cerr << "usage: jrs_sweep <grid> [--jobs N] [--json FILE]"
-                 " [--cache-dir DIR] [--quiet] [--progress]"
+                 " [--quiet] [--progress]"
                  " [--compare-serial]"
               << obs::GcCli::usageText()
               << obs::CodeCacheCli::usageText()
@@ -126,8 +119,6 @@ main(int argc, char **argv)
                 usage("--jobs expects a number");
         } else if (a == "--json") {
             jsonPath = next();
-        } else if (a == "--cache-dir") {
-            opts.cacheDir = next();
         } else if (a == "--quiet") {
             quiet = true;
         } else if (a == "--progress") {
@@ -144,24 +135,14 @@ main(int argc, char **argv)
     }
 
     cli.setup();
-    if (progress)
-        obs::setEnabled(true);
     obs::ObsReports reports;
     sweep::attachObservers(opts, cli, reports);
     if (progress) {
-        // The counts come straight from the registry the sweep engine
-        // publishes into (the same numbers --metrics-json snapshots).
         opts.onProgress = [](const sweep::SweepProgress &p) {
-            obs::MetricRegistry &reg = obs::metrics();
             std::cerr << '\r' << p.pointsDone << '/' << p.pointsTotal
                       << " points (groups " << p.groupsDone << '/'
-                      << p.groupsTotal << ", "
-                      << reg.counterValue("trace_cache.recordings")
-                      << " rec, "
-                      << reg.counterValue("trace_cache.memory_hits")
-                      << " hit, "
-                      << reg.counterValue("trace_cache.disk_loads")
-                      << " load)" << std::flush;
+                      << p.groupsTotal << ", " << p.traces.recordings
+                      << " rec)" << std::flush;
             if (p.groupsDone == p.groupsTotal)
                 std::cerr << '\n';
         };
@@ -196,9 +177,7 @@ main(int argc, char **argv)
     std::cout << grid->name << ": " << result.points.size()
               << " points in " << fixed(result.wallSeconds, 2)
               << "s on " << result.jobs << " jobs ("
-              << result.traces.recordings << " recordings, "
-              << result.traces.memoryHits << " memory hits, "
-              << result.traces.diskLoads << " disk loads)\n";
+              << result.traces.recordings << " recordings)\n";
     if (result.sharedCacheUsed) {
         std::cout << "shared code cache: "
                   << result.shared.sharedHits << " hits, "
@@ -210,16 +189,10 @@ main(int argc, char **argv)
 
     bool comparisonOk = true;
     if (compareSerial) {
-        // Reference run: one worker, private translation, and an
-        // explicit fresh in-memory trace cache, so every stream is
-        // re-recorded from scratch and replayed. The sweep above ran
-        // its groups live unless a cache directory or profiler made
-        // them record, so this checks live against record-then-replay
-        // as well as parallel against serial. Any difference is a
-        // determinism bug.
+        // Reference run: one worker and private translation. Any
+        // difference from the sweep above is a determinism bug.
         sweep::SweepOptions serialOpts;
         serialOpts.jobs = 1;
-        serialOpts.cache = std::make_shared<sweep::TraceCache>();
         sweep::SweepEngine serialEngine(serialOpts);
         const sweep::SweepResult serial = serialEngine.run(points);
         std::size_t mismatches = 0;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
 #include <map>
 #include <sstream>
 
@@ -292,102 +291,8 @@ checkProfileAttribution(const TraceBuffer &trace, const obs::MethodMap &map,
     return os.str();
 }
 
-namespace {
-
-/** Read a whole small text file; false when it cannot be opened. */
-bool
-slurp(const std::string &path, std::string *out)
-{
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (f == nullptr)
-        return false;
-    char buf[4096];
-    std::size_t n;
-    out->clear();
-    while ((n = std::fread(buf, 1, sizeof buf, f)) > 0)
-        out->append(buf, n);
-    std::fclose(f);
-    return true;
-}
-
-/**
- * Validate the `.meta` sidecar (format written by the sweep trace
- * cache: "key=<key>\nexit=<int>\nevents=<count>\n"). Returns "" on
- * success.
- */
-std::string
-lintMetaSidecar(const std::string &path, const std::string &expect_key,
-                std::uint64_t expect_events)
-{
-    std::string text;
-    if (!slurp(path, &text))
-        return "missing .meta sidecar: " + path;
-
-    char key[512] = {};
-    int exit_value = 0;
-    unsigned long long events = 0;
-    if (std::sscanf(text.c_str(), "key=%511[^\n]\nexit=%d\nevents=%llu",
-                    key, &exit_value, &events)
-        != 3) {
-        return "corrupt .meta sidecar (expected key=/exit=/events= "
-               "lines): "
-            + path;
-    }
-    if (!expect_key.empty() && expect_key != key) {
-        return ".meta key \"" + std::string(key)
-            + "\" does not match trace filename stem \"" + expect_key
-            + "\"";
-    }
-    if (events != expect_events) {
-        return ".meta records " + std::to_string(events)
-            + " events but the stream holds "
-            + std::to_string(expect_events);
-    }
-    return "";
-}
-
-/**
- * Validate the `.methods` sidecar ("<lo-hex> <hi-hex> <name>" lines).
- * Returns "" on success.
- */
-std::string
-lintMethodsSidecar(const std::string &path, std::uint64_t *ranges_out)
-{
-    std::string text;
-    if (!slurp(path, &text))
-        return "missing .methods sidecar: " + path;
-
-    std::istringstream in(text);
-    std::string line;
-    std::uint64_t ranges = 0;
-    std::uint64_t lineno = 0;
-    while (std::getline(in, line)) {
-        ++lineno;
-        if (line.empty())
-            continue;
-        unsigned long long lo = 0;
-        unsigned long long hi = 0;
-        char name[512] = {};
-        if (std::sscanf(line.c_str(), "%llx %llx %511[^\n]", &lo, &hi,
-                        name)
-            != 3) {
-            return "corrupt .methods sidecar at line "
-                + std::to_string(lineno) + ": \"" + line + "\"";
-        }
-        if (lo >= hi) {
-            return ".methods line " + std::to_string(lineno)
-                + " has an empty or inverted range";
-        }
-        ++ranges;
-    }
-    *ranges_out = ranges;
-    return "";
-}
-
-} // namespace
-
 LintResult
-lintTraceFile(const std::string &path, bool require_sidecars)
+lintTraceFile(const std::string &path)
 {
     LintResult out;
 
@@ -413,57 +318,7 @@ lintTraceFile(const std::string &path, bool require_sidecars)
         }
     }
 
-    if (require_sidecars) {
-        // The cache names files "<key>.jrstrace"; the .meta key line
-        // must round-trip to the same stem.
-        std::string stem = std::filesystem::path(path).filename().string();
-        if (const auto pos = stem.find(".jrstrace");
-            pos != std::string::npos)
-            stem.resize(pos);
-        else
-            stem.clear();
-
-        if (std::string err =
-                lintMetaSidecar(path + ".meta", stem, out.events);
-            !err.empty()) {
-            out.error = err;
-            return out;
-        }
-        std::uint64_t ranges = 0;
-        if (std::string err =
-                lintMethodsSidecar(path + ".methods", &ranges);
-            !err.empty()) {
-            out.error = err;
-            return out;
-        }
-        out.notes.push_back(".methods: " + std::to_string(ranges)
-                            + " address ranges");
-    }
-
     out.ok = true;
-    return out;
-}
-
-std::vector<std::pair<std::string, LintResult>>
-lintCacheDir(const std::string &dir)
-{
-    namespace fs = std::filesystem;
-    if (!fs::is_directory(dir))
-        throw VmError("lintCacheDir: not a directory: " + dir);
-
-    std::vector<std::pair<std::string, LintResult>> out;
-    for (const auto &entry : fs::directory_iterator(dir)) {
-        if (!entry.is_regular_file())
-            continue;
-        const std::string name = entry.path().filename().string();
-        if (name.size() < 9
-            || name.compare(name.size() - 9, 9, ".jrstrace") != 0)
-            continue;
-        out.emplace_back(name,
-                         lintTraceFile(entry.path().string(), true));
-    }
-    std::sort(out.begin(), out.end(),
-              [](const auto &a, const auto &b) { return a.first < b.first; });
     return out;
 }
 

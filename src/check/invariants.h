@@ -6,7 +6,7 @@
  * stream is well-formed; the paper's numbers are only as good as that
  * assumption. This checker makes it explicit and machine-checked, for
  * live runs (attach as the engine sink), in-memory TraceBuffers, and
- * on-disk JRSTRACE files including the sweep cache's sidecars.
+ * on-disk JRSTRACE files.
  *
  * Per-event invariants:
  *  - phase and kind tags are legal enum values
@@ -122,7 +122,7 @@ std::string checkProfileAttribution(const TraceBuffer &trace,
                                     const RunResult &result,
                                     std::uint64_t per_method_slack);
 
-/** Outcome of linting one on-disk trace (plus sidecars). */
+/** Outcome of linting one on-disk trace. */
 struct LintResult {
     bool ok = false;
     std::uint64_t events = 0;
@@ -132,21 +132,9 @@ struct LintResult {
 
 /**
  * Validate `<path>` as a JRSTRACE stream: header, record decode, and
- * every per-event invariant. When @p require_sidecars is true the
- * `.meta` sidecar must exist, parse, and agree with the stream's
- * event count, and the `.methods` sidecar must exist and parse (a
- * corrupt or missing sidecar is reported as a clean error instead of
- * feeding silent misattribution downstream).
+ * every per-event invariant.
  */
-LintResult lintTraceFile(const std::string &path, bool require_sidecars);
-
-/**
- * Lint every `*.jrstrace` in @p dir (the sweep trace-cache layout).
- * Returns (filename, result) pairs sorted by filename; empty when the
- * directory has no traces. Throws VmError when @p dir does not exist.
- */
-std::vector<std::pair<std::string, LintResult>>
-lintCacheDir(const std::string &dir);
+LintResult lintTraceFile(const std::string &path);
 
 } // namespace jrs::check
 

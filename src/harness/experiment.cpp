@@ -24,19 +24,38 @@ engineConfig(const RunSpec &spec, TraceSink *sink)
 }
 
 /**
- * Build @p spec's program, run it on an engine feeding @p sink, and
- * hand the finished engine to @p after (while it is still alive) so
- * callers can capture engine state. Throws VmError when the run does
- * not complete cleanly.
+ * Build @p spec's program, run it on an engine feeding @p sink (and
+ * what @p attach returns, on a followed method map), and hand the
+ * finished engine to @p after (while it is still alive) so callers
+ * can capture engine state. Throws VmError when the run does not
+ * complete cleanly.
  */
 template <class AfterFn>
 RunResult
-runEngine(const RunSpec &spec, TraceSink *sink, AfterFn &&after)
+runEngine(const RunSpec &spec, TraceSink *sink, AfterFn &&after,
+          const AttachFn &attach = {})
 {
     if (spec.workload == nullptr)
         throw VmError("RunSpec without workload");
     const Program prog = spec.workload->build();
-    ExecutionEngine engine(prog, engineConfig(spec, sink));
+    EngineConfig cfg = engineConfig(spec, sink);
+    MultiSink both;
+    std::shared_ptr<obs::MethodMap> map;  // outlives the engine
+    if (attach) {
+        map = std::make_shared<obs::MethodMap>(
+            obs::MethodMap::follow(prog));
+        cfg.codeObserver = map.get();
+        if (TraceSink *attached = attach(map)) {
+            if (sink != nullptr) {
+                both.add(sink);
+                both.add(attached);
+                cfg.sink = &both;
+            } else {
+                cfg.sink = attached;
+            }
+        }
+    }
+    ExecutionEngine engine(prog, cfg);
     const std::int32_t arg =
         spec.arg != 0 ? spec.arg : spec.workload->smallArg;
     RunResult res = engine.run(arg);
@@ -54,9 +73,9 @@ runEngine(const RunSpec &spec, TraceSink *sink, AfterFn &&after)
 } // namespace
 
 RunResult
-runWorkload(const RunSpec &spec)
+runWorkload(const RunSpec &spec, const AttachFn &attach)
 {
-    return runEngine(spec, spec.sink, [](ExecutionEngine &) {});
+    return runEngine(spec, spec.sink, [](ExecutionEngine &) {}, attach);
 }
 
 RecordedRun

@@ -10,6 +10,7 @@
 #ifndef JRS_HARNESS_EXPERIMENT_H
 #define JRS_HARNESS_EXPERIMENT_H
 
+#include <functional>
 #include <memory>
 
 #include "isa/trace_buffer.h"
@@ -44,28 +45,42 @@ struct RunSpec {
 };
 
 /**
+ * Builds what observes a run that names its methods as it goes:
+ * called with the run's method map (obs::MethodMap::follow, attached
+ * to the engine) before the VM starts, it returns the sink to feed
+ * (null for none). The map changes while the run goes on; a sink may
+ * keep it for as long as it likes.
+ */
+using AttachFn = std::function<TraceSink *(
+    const std::shared_ptr<const obs::MethodMap> &)>;
+
+/**
  * Build the workload's program, run it, and return the result.
  * spec.sink (when set) observes the stream live, as the VM emits it;
- * nothing is recorded. Throws VmError when the run does not complete
+ * nothing is recorded. With @p attach, the sink it returns observes
+ * the stream too (after spec.sink), resolving methods against a map
+ * that follows the run. Throws VmError when the run does not complete
  * cleanly (benches and tests should never tolerate a broken guest
  * program).
  */
-RunResult runWorkload(const RunSpec &spec);
+RunResult runWorkload(const RunSpec &spec, const AttachFn &attach = {});
 
 /**
  * One completed run captured for offline replay: the VM's RunResult
- * plus the full dynamic native stream. The shared_ptr lets many sweep
- * points (possibly on different threads) consume one recording.
+ * plus the full dynamic native stream. The shared_ptr lets many
+ * consumers (possibly on different threads) share one recording.
  */
 struct RecordedRun {
     RunResult result;
+    /** The stream (null for a run that was observed live). */
     std::shared_ptr<const TraceBuffer> trace;
     /**
-     * Method map of the recorded run (bytecode + generated-code
-     * ranges), built before the engine is torn down so offline
+     * Method map of the run. recordWorkload builds it with
+     * MethodMap::forRun before the engine is torn down, so offline
      * attribution passes (obs/perf.h) can join the replayed stream
-     * with method names. Null for disk-loaded recordings whose
-     * sidecar predates the map (see TraceCache).
+     * with method names; it maps only the code still installed at the
+     * end, so under eviction the stream's evicted code is misnamed.
+     * A live sweep group carries its followed map here instead.
      */
     std::shared_ptr<const obs::MethodMap> methods;
 };

@@ -1,18 +1,8 @@
 #include "isa/trace_buffer.h"
 
-#include <cstdio>
-#include <string>
-
 #include "vm/runtime/vm_error.h"
 
 namespace jrs {
-
-namespace {
-
-/** Disk-I/O staging: pack this many records per fwrite. */
-constexpr std::size_t kStageEvents = 64 * 1024;
-
-} // namespace
 
 TraceEvent *
 TraceBuffer::slotFor(std::uint64_t index)
@@ -58,53 +48,6 @@ TraceBuffer::replay(TraceSink &sink) const
     }
     sink.onFinish();
     return count_;
-}
-
-void
-TraceBuffer::save(const std::string &path) const
-{
-    std::FILE *f = std::fopen(path.c_str(), "wb");
-    if (f == nullptr)
-        throw VmError("cannot open trace file for writing: " + path);
-    std::uint8_t header[kTraceHeaderBytes];
-    encodeTraceHeader(header);
-    bool ok = std::fwrite(header, 1, sizeof(header), f) == sizeof(header);
-
-    const auto stage =
-        std::make_unique<std::uint8_t[]>(kStageEvents
-                                         * kTraceRecordBytes);
-    std::uint64_t remaining = count_;
-    for (const auto &chunk : chunks_) {
-        if (!ok || remaining == 0)
-            break;
-        const std::uint64_t inChunk =
-            remaining < kChunkEvents ? remaining : kChunkEvents;
-        for (std::uint64_t base = 0; ok && base < inChunk;
-             base += kStageEvents) {
-            const std::uint64_t n =
-                inChunk - base < kStageEvents ? inChunk - base
-                                              : kStageEvents;
-            for (std::uint64_t i = 0; i < n; ++i) {
-                encodeTraceRecord(chunk[base + i],
-                                  stage.get() + i * kTraceRecordBytes);
-            }
-            const std::size_t bytes = n * kTraceRecordBytes;
-            ok = std::fwrite(stage.get(), 1, bytes, f) == bytes;
-        }
-        remaining -= inChunk;
-    }
-    if (std::fclose(f) != 0)
-        ok = false;
-    if (!ok)
-        throw VmError("trace write failed: " + path);
-}
-
-TraceBuffer
-TraceBuffer::load(const std::string &path)
-{
-    TraceBuffer buf;
-    replayTraceFile(path, buf);
-    return buf;
 }
 
 void

@@ -2,14 +2,14 @@
  * @file
  * In-memory recording of a dynamic native stream.
  *
- * TraceBuffer is the record-once/replay-many primitive behind the
- * sweep engine: a TraceSink that appends every event and replays the
- * stream into any number of downstream sinks, any number of times.
- * Events are stored as raw TraceEvent structs so recording is a copy
- * and replay is a pointer walk — the hot paths of a sweep. The packed
- * JRSTRACE record codec (trace_io.h) is applied only at the disk
- * boundary in save()/load(), and it covers every TraceEvent field, so
- * a buffer round-trips through a file losslessly.
+ * TraceBuffer records a stream once so it can be replayed into any
+ * number of downstream sinks, any number of times (benchmarks that
+ * time the models on a fixed stream, tests). Events are stored as raw
+ * TraceEvent structs so recording is a copy and replay is a pointer
+ * walk. On disk a stream is a JRSTRACE file (trace_io.h): write one
+ * with TraceFileWriter, read one back with replayTraceFile into a
+ * buffer; the record codec covers every TraceEvent field, so a stream
+ * round-trips through a file losslessly.
  *
  * Storage is chunked so multi-hundred-MB streams grow without
  * reallocation spikes. A fully recorded buffer is immutable in
@@ -20,7 +20,6 @@
 #define JRS_ISA_TRACE_BUFFER_H
 
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "isa/trace_io.h"
@@ -64,17 +63,6 @@ class TraceBuffer : public TraceSink {
      * onFinish(). @return the number of events delivered.
      */
     std::uint64_t replay(TraceSink &sink) const;
-
-    /** Write the stream as a JRSTRACE file; throws VmError on I/O. */
-    void save(const std::string &path) const;
-
-    /**
-     * Read a JRSTRACE file recorded by save() (or TraceFileWriter)
-     * through replayTraceFile. Throws VmError on missing file, bad
-     * magic, version mismatch, a corrupt record, or a partial trailing
-     * record (a truncated file).
-     */
-    static TraceBuffer load(const std::string &path);
 
     /** Drop all events and storage. */
     void clear();

@@ -115,7 +115,9 @@ checkTraceHeader(const std::uint8_t *in)
 }
 
 TraceFileWriter::TraceFileWriter(const std::string &path)
-    : file_(std::fopen(path.c_str(), "wb")), path_(path)
+    : file_(std::fopen(path.c_str(), "wb")), path_(path),
+      stage_(std::make_unique<std::uint8_t[]>(kStageEvents
+                                              * kTraceRecordBytes))
 {
     if (file_ == nullptr)
         fail("cannot open trace file for writing");
@@ -126,6 +128,13 @@ TraceFileWriter::TraceFileWriter(const std::string &path)
         fail("trace header write failed");
 }
 
+TraceFileWriter::~TraceFileWriter()
+{
+    if (staged_ != 0)
+        std::fwrite(stage_.get(), 1, staged_ * kTraceRecordBytes,
+                    file_.get());
+}
+
 void
 TraceFileWriter::fail(const char *what) const
 {
@@ -134,21 +143,19 @@ TraceFileWriter::fail(const char *what) const
 }
 
 void
-TraceFileWriter::onEvent(const TraceEvent &ev)
+TraceFileWriter::writeStage()
 {
-    std::uint8_t rec[kTraceRecordBytes];
-    encodeTraceRecord(ev, rec);
-    if (std::fwrite(rec, 1, kTraceRecordBytes, file_.get())
-        != kTraceRecordBytes) {
+    const std::size_t bytes = staged_ * kTraceRecordBytes;
+    staged_ = 0;
+    if (std::fwrite(stage_.get(), 1, bytes, file_.get()) != bytes)
         fail("trace record write failed");
-    }
-    ++events_;
 }
 
 void
 TraceFileWriter::onFinish()
 {
-    // The last records sit in stdio's buffer until this flush.
+    // The last records sit in the stage and stdio's buffer until now.
+    writeStage();
     if (std::fflush(file_.get()) != 0)
         fail("trace write failed");
 }

@@ -60,36 +60,60 @@ struct FileCloser {
 };
 
 /**
- * Sink that streams events into a binary trace file. Every failure
- * throws VmError naming the path and the system error.
+ * Sink that streams events into a binary trace file — the one JRSTRACE
+ * writer. Records are packed into a staging block and written one
+ * block per fwrite. Every failure throws VmError naming the path and
+ * the system error.
  */
 class TraceFileWriter : public TraceSink {
   public:
+    /** Records staged per fwrite. */
+    static constexpr std::size_t kStageEvents = 4096;
+
     /** Opens @p path for writing and writes the header. */
     explicit TraceFileWriter(const std::string &path);
 
-    /** Appends one record. */
-    void onEvent(const TraceEvent &ev) override;
+    /**
+     * Writes what is still staged, without reporting errors, so a run
+     * that stopped before onFinish leaves every record it emitted.
+     */
+    ~TraceFileWriter() override;
 
-    /** Flushes the file; throws VmError when the flush fails. */
+    /** Appends one record (written once the staging block fills). */
+    void onEvent(const TraceEvent &ev) override {
+        encodeTraceRecord(ev, stage_.get() + staged_ * kTraceRecordBytes);
+        if (++staged_ == kStageEvents)
+            writeStage();
+        ++events_;
+    }
+
+    /**
+     * Writes the staged records and flushes the file; throws VmError
+     * when either fails.
+     */
     void onFinish() override;
 
-    /** Events written so far. */
+    /** Events accepted so far. */
     std::uint64_t eventsWritten() const { return events_; }
 
   private:
+    /** Write the staged records and empty the block. */
+    void writeStage();
+
     /** Throws "@p what: path: strerror(errno)". */
     [[noreturn]] void fail(const char *what) const;
 
     std::unique_ptr<std::FILE, FileCloser> file_;
     std::string path_;
+    std::unique_ptr<std::uint8_t[]> stage_;
+    std::size_t staged_ = 0;
     std::uint64_t events_ = 0;
 };
 
 /**
  * Replay a trace file into @p sink (calling onFinish at EOF); the one
- * JRSTRACE read loop, behind TraceBuffer::load and `jrs_check
- * lint-trace` too. @return the number of events replayed. Throws
+ * JRSTRACE reader, behind `jrs_check lint-trace` too (replay into a
+ * TraceBuffer to hold a file in memory). @return the number of events replayed. Throws
  * VmError on a missing file, bad magic, version mismatch, a record
  * whose kind or phase tag is out of range (a corrupt file: every model
  * indexes per-kind and per-phase arrays by them) or a partial trailing

@@ -3,8 +3,8 @@
  * The metrics registry: named counters, gauges and histograms with
  * cheap hot-path updates and a stable JSON snapshot.
  *
- * Instrumented subsystems (VM engine, JIT translator, trace cache,
- * sweep engine) register metrics by name and update them through
+ * Instrumented subsystems (VM engine, JIT translator, sweep engine)
+ * register metrics by name and update them through
  * handles; a snapshot renders every metric to the `jrs-metrics-v1`
  * JSON schema (documented in DESIGN.md). Handles returned by
  * counter()/gauge()/histogram() stay valid for the registry's

@@ -3,7 +3,7 @@
  * Process-wide observability switchboard.
  *
  * jrs instruments its runtime layers — the VM engine, the JIT
- * translator, the trace cache and the sweep engine — against one
+ * translator and the sweep engine — against one
  * global MetricRegistry and one global SpanTracer, gated by a single
  * runtime toggle. The toggle is OFF by default and every
  * instrumentation site checks it first, so an untoggled run pays one

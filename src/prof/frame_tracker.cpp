@@ -24,8 +24,20 @@ frameKindName(FrameKind k)
     return "?";
 }
 
+namespace {
+
+/** What a tracker without a map views (it never looks anything up). */
+const obs::MethodMap &
+noMap()
+{
+    static const obs::MethodMap empty;
+    return empty;
+}
+
+} // namespace
+
 FrameTracker::FrameTracker(const obs::MethodMap *map, Options opt)
-    : map_(map), opt_(opt)
+    : map_(map), view_(map != nullptr ? *map : noMap()), opt_(opt)
 {
     frames_.emplace_back();
     frames_[0].kind = FrameKind::Root;
@@ -37,9 +49,9 @@ FrameTracker::name(const TraceEvent &ev)
     // First attributable event wins.
     int row = -1;
     if (ev.phase == Phase::NativeExec)
-        row = map_->rowOf(ev.pc);
+        row = view_.pcRowOf(ev.pc, events_);
     else if (ev.phase == Phase::Interpret && ev.kind == NKind::Load)
-        row = map_->rowOf(ev.mem);
+        row = view_.rowOf(ev.mem, events_);
     if (row >= 0)
         frames_.back().methodRow = row;
 }

@@ -30,9 +30,9 @@
  * Method frames are named lazily: the trampoline address encodes only
  * the MethodId, so a frame takes its MethodMap row from the first
  * attributable event inside it (the bytecode-fetch Load for
- * interpreted code, the native pc for compiled code). This keeps the
- * tracker independent of the Program, so disk-replayed traces with
- * only a .methods sidecar resolve fully.
+ * interpreted code, the native pc for compiled code), resolved
+ * through an obs::MapView at that event's stream position. This keeps
+ * the tracker independent of the Program: a map is all it needs.
  *
  * The per-event protocol is split in two so consumers can observe the
  * stack at the exact attribution point — after a stale Translate
@@ -130,6 +130,7 @@ class FrameTracker {
         if (f.methodRow < 0 && map_ != nullptr
             && (f.kind == FrameKind::Method || f.kind == FrameKind::Root))
             name(ev);
+        ++events_;
         return step;
     }
 
@@ -180,6 +181,8 @@ class FrameTracker {
     bool pop(const TraceEvent &ev);
 
     const obs::MethodMap *map_;
+    obs::MapView view_;           ///< map_ at the stream position
+    std::uint64_t events_ = 0;    ///< events begun (stream position)
     Options opt_;
     std::vector<Frame> frames_;
     std::uint64_t overflow_ = 0;  ///< depth beyond maxDepth (virtual)

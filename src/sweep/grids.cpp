@@ -94,8 +94,8 @@ class BtbSizeSweepSink : public TraceSink {
  * Collector-work profile of one stream, derived purely from the
  * Phase::Gc event tags: a collection is one Call at kGcPc (every
  * collector brackets its pause in Call/Ret), and the pause length is
- * the number of Gc events between them. Works identically on live,
- * replayed, and disk-loaded streams.
+ * the number of Gc events between them. Works identically on live and
+ * replayed streams.
  */
 class GcPhaseSink : public TraceSink {
   public:
@@ -133,8 +133,8 @@ class GcPhaseSink : public TraceSink {
  * phase tags: under a bounded code cache every retranslation shows up
  * as extra Translate-phase events and evicted methods run interpreted
  * until recompiled, so the Translate/Interpret shares are the
- * retranslation overhead. Works identically on live, replayed, and
- * disk-loaded streams.
+ * retranslation overhead. Works identically on live and replayed
+ * streams.
  */
 class TranslatePhaseSink : public TraceSink {
   public:
@@ -149,12 +149,9 @@ class TranslatePhaseSink : public TraceSink {
     }
 
     /**
-     * Stream-phase shares, plus the recorded run's end-of-run
-     * code-cache free-extent accounting (the fragmentation gauge:
-     * free extents per free KiB, matching
-     * ExtentAllocator::fragmentation). The free-extent numbers ride
-     * the recording's meta sidecar, so disk-loaded streams report
-     * the same values as the live run.
+     * Stream-phase shares, plus the run's end-of-run code-cache
+     * free-extent accounting (the fragmentation gauge: free extents
+     * per free KiB, matching ExtentAllocator::fragmentation).
      */
     std::vector<Metric> metrics(const RecordedRun &run) const {
         const double freeB =

@@ -99,27 +99,25 @@ std::vector<SweepPoint> buildFig07Grid();
 std::vector<SweepPoint> buildFig08Grid();
 std::vector<SweepPoint> buildBtbGrid();
 /**
- * Heap-size × collector grid: every point records its own stream
+ * Heap-size × collector grid: every point runs its own stream
  * (collector traffic is part of the stream identity) and reports
  * collections, collector-event share and pause sizes from the
- * Phase::Gc tags alone, so replayed/disk-loaded streams measure
- * identically to live ones.
+ * Phase::Gc tags alone, so replayed streams measure identically to
+ * live ones.
  */
 std::vector<SweepPoint> buildGcGrid();
 /**
  * Code-cache capacity × eviction-policy grid (jit mode, plus one
  * unlimited baseline per workload), extended with best-fit-allocation
  * points (the fragmentation comparison) and one counter+OSR tiered
- * point per workload. Every bounded point records its own stream —
+ * point per workload. Every bounded point runs its own stream —
  * eviction changes what executes natively — and reports the
  * retranslation overhead from phase tags (Translate share vs the
- * stream) plus the recorded run's fragmentation gauge (persisted in
- * the meta sidecar), so replayed/disk-loaded streams measure
- * identically to live ones.
+ * stream) plus the run's end-of-run fragmentation gauge.
  */
 std::vector<SweepPoint> buildCodeCacheGrid();
 /** Concatenation of the four cache/BTB grids (streams shared across
-    experiments; the gc grid records distinct streams and stays
+    experiments; the gc grid runs distinct streams and stays
     separate). */
 std::vector<SweepPoint> buildAllGrid();
 

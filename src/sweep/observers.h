@@ -3,13 +3,14 @@
  * The one way to attach profilers to a sweep.
  *
  * attachObservers wires SweepOptions::groupObserver/groupObserved so
- * that every trace group's replay also feeds one default-config
+ * that every trace group's run also feeds one default-config
  * PipelineSim carrying whichever of the perf, CCT and sampling
- * profilers the ObsCli flags selected (obs/cli.h). Each group's
- * reports land in an ObsReports keyed by the group's TraceKey. The
- * pipeline rides the replay fan-out after every point sink, so the
- * sweep's own metrics stay bit-identical with or without it
- * (tests/test_perf.cpp asserts this).
+ * profilers the ObsCli flags selected (obs/cli.h), resolving methods
+ * against the map that follows the run. Each group's reports land in
+ * an ObsReports keyed by the group's TraceKey. The pipeline rides the
+ * group's fan-out after every point sink, so the sweep's own metrics
+ * stay bit-identical with or without it (tests/test_perf.cpp asserts
+ * this).
  */
 #ifndef JRS_SWEEP_OBSERVERS_H
 #define JRS_SWEEP_OBSERVERS_H
@@ -42,10 +43,8 @@ class GroupPipeline : public PipelineSim {
 };
 
 /**
- * See file comment. A no-op when @p cli selects no profiler. Groups
- * whose recording carries no method map (disk recordings predating
- * the .methods sidecar) are skipped. @p reports must outlive the
- * sweep.
+ * See file comment. A no-op when @p cli selects no profiler.
+ * @p reports must outlive the sweep.
  */
 inline void
 attachObservers(SweepOptions &opts, const obs::ObsCli &cli,
@@ -56,8 +55,6 @@ attachObservers(SweepOptions &opts, const obs::ObsCli &cli,
         return;
     opts.groupObserver = [cli](const TraceKey &, const RecordedRun &run)
         -> std::unique_ptr<TraceSink> {
-        if (run.methods == nullptr)
-            return nullptr;
         return std::make_unique<GroupPipeline>(run.methods, cli);
     };
     opts.groupObserved = [&reports](const TraceKey &key,

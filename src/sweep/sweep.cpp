@@ -1,13 +1,10 @@
 #include "sweep/sweep.h"
 
-#include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <map>
 #include <mutex>
-#include <thread>
 
 #include "obs/clock.h"
 #include "obs/json.h"
@@ -34,10 +31,9 @@ metricCell(double v)
 }
 
 /**
- * A group's fan-out (fed live by the VM or by a replay) with
- * per-subscriber fault isolation: a subscriber whose sink throws is
- * detached with the error recorded, and delivery to the others
- * continues.
+ * A group's fan-out (fed by the VM) with per-subscriber fault
+ * isolation: a subscriber whose sink throws is detached with the
+ * error recorded, and delivery to the others continues.
  */
 class GuardedFanout : public TraceSink {
   public:
@@ -47,8 +43,8 @@ class GuardedFanout : public TraceSink {
         std::string error;
     };
 
-    explicit GuardedFanout(std::vector<Subscriber> subscribers)
-        : subs_(std::move(subscribers)) {}
+    /** Subscribe @p sink (delivery follows subscription order). */
+    void add(TraceSink *sink) { subs_.push_back({sink, false, ""}); }
 
     void onEvent(const TraceEvent &ev) override {
         ++delivered_;
@@ -166,9 +162,7 @@ SweepResult::toJson() const
     out += "  \"jobs\": " + std::to_string(jobs) + ",\n";
     out += "  \"wall_seconds\": " + jsonNumber(wallSeconds) + ",\n";
     out += "  \"traces\": {\"recordings\": "
-        + std::to_string(traces.recordings) + ", \"memory_hits\": "
-        + std::to_string(traces.memoryHits) + ", \"disk_loads\": "
-        + std::to_string(traces.diskLoads)
+        + std::to_string(traces.recordings)
         + ", \"translate_build_ns\": "
         + std::to_string(traces.translateBuildNs) + "},\n";
     if (sharedCacheUsed) {
@@ -226,11 +220,6 @@ SweepResult::writeJson(const std::string &path) const
 SweepEngine::SweepEngine(SweepOptions options)
     : options_(std::move(options))
 {
-    cache_ = options_.cache != nullptr
-        ? options_.cache
-        : std::make_shared<TraceCache>(options_.cacheDir);
-    if (options_.sharedCache != nullptr)
-        cache_->setSharedCache(options_.sharedCache);
 }
 
 SweepResult
@@ -243,7 +232,6 @@ SweepEngine::run(const std::vector<SweepPoint> &grid)
     }
 
     const auto t0 = std::chrono::steady_clock::now();
-    const TraceCache::Stats before = cache_->stats();
     const SharedCacheStats sharedBefore = options_.sharedCache != nullptr
         ? options_.sharedCache->stats()
         : SharedCacheStats{};
@@ -257,8 +245,8 @@ SweepEngine::run(const std::vector<SweepPoint> &grid)
         result.points[i].traceKey = grid[i].key.str();
     }
 
-    // Group points by stream so each trace is obtained and replayed
-    // exactly once per sweep; group order follows first appearance.
+    // Group points by stream so each stream is produced exactly once
+    // per sweep; group order follows first appearance.
     std::vector<std::vector<std::size_t>> groups;
     {
         std::map<std::string, std::size_t> groupOf;
@@ -271,11 +259,6 @@ SweepEngine::run(const std::vector<SweepPoint> &grid)
         }
     }
 
-    // Groups may run live only when nothing outside them needs the
-    // recording: a private cache without a directory, no observer.
-    const bool liveAllowed = options_.cache == nullptr
-        && options_.cacheDir.empty() && !options_.groupObserver;
-
     auto fail = [&](std::size_t idx, const std::string &why) {
         result.points[idx].ok = false;
         result.points[idx].error = why;
@@ -286,10 +269,16 @@ SweepEngine::run(const std::vector<SweepPoint> &grid)
     std::mutex observerMu;
     std::size_t pointsDone = 0;
     std::size_t groupsDone = 0;
-    auto finishGroup = [&](const std::vector<std::size_t> &members) {
+    TraceStats traces;
+    auto finishGroup = [&](const std::vector<std::size_t> &members,
+                           const RunResult *ran) {
         std::lock_guard<std::mutex> lock(progressMu);
         pointsDone += members.size();
         ++groupsDone;
+        if (ran != nullptr) {
+            ++traces.recordings;
+            traces.translateBuildNs += ran->translateBuildNs;
+        }
         if (obs::enabled()) {
             obs::MetricRegistry &reg = obs::metrics();
             std::size_t okCount = 0;
@@ -303,21 +292,18 @@ SweepEngine::run(const std::vector<SweepPoint> &grid)
             reg.counter("sweep.points.failed")
                 .add(members.size() - okCount);
             reg.counter("sweep.groups.done").add(1);
+            if (ran != nullptr)
+                reg.counter("sweep.recordings").add(1);
             reg.gauge("sweep.queue_depth")
                 .set(static_cast<double>(groups.size() - groupsDone));
         }
         if (options_.onProgress) {
-            const TraceCache::Stats now = cache_->stats();
             SweepProgress pr;
             pr.pointsDone = pointsDone;
             pr.pointsTotal = grid.size();
             pr.groupsDone = groupsDone;
             pr.groupsTotal = groups.size();
-            pr.traces.recordings = now.recordings - before.recordings;
-            pr.traces.memoryHits = now.memoryHits - before.memoryHits;
-            pr.traces.diskLoads = now.diskLoads - before.diskLoads;
-            pr.traces.translateBuildNs =
-                now.translateBuildNs - before.translateBuildNs;
+            pr.traces = traces;
             options_.onProgress(pr);
         }
     };
@@ -326,91 +312,57 @@ SweepEngine::run(const std::vector<SweepPoint> &grid)
         const auto g0 = std::chrono::steady_clock::now();
         const SweepPoint &head = grid[members[0]];
         const std::string &keyStr = result.points[members[0]].traceKey;
-        const bool live = liveAllowed
-            && std::all_of(members.begin(), members.end(),
-                           [&](std::size_t idx) {
-                               return grid[idx].runFree;
-                           });
-        auto failGroup = [&](const std::exception &e) {
-            for (const std::size_t idx : members)
-                fail(idx, std::string("recording failed: ") + e.what());
-            finishGroup(members);
-        };
 
-        // Record-then-replay obtains the stream first (recording on
-        // first use, loading a prior recording from disk, or waiting
-        // on another worker): its sink factories receive the
-        // recording, so they can only be built once it exists. A live
-        // group's factories are run-free; they get a run that is
-        // filled in once the VM has finished.
-        std::shared_ptr<RecordedRun> liveRun;
-        std::shared_ptr<const RecordedRun> run;
-        if (live) {
-            run = liveRun = std::make_shared<RecordedRun>();
-        } else {
-            try {
-                obs::ScopedSpan span("sweep.acquire", "sweep");
-                span.arg("trace", keyStr);
-                run = cache_->get(head.key);
-            } catch (const std::exception &e) {
-                failGroup(e);
-                return;
-            }
-        }
-
-        // Build each member's sink; a throwing factory poisons only
-        // that member.
+        // The sinks are built once the run's method map exists and
+        // before the VM starts; the VM then feeds the fan-out
+        // directly. A throwing factory poisons only its member.
+        RecordedRun run;
         std::vector<std::unique_ptr<TraceSink>> sinks(members.size());
-        std::vector<GuardedFanout::Subscriber> subs;
         std::vector<std::size_t> subMember;
-        for (std::size_t m = 0; m < members.size(); ++m) {
-            try {
-                sinks[m] = grid[members[m]].makeSink(*run);
-                if (sinks[m] == nullptr)
-                    throw VmError("sink factory returned null");
-                subs.push_back({sinks[m].get(), false, ""});
-                subMember.push_back(m);
-            } catch (const std::exception &e) {
-                fail(members[m],
-                     std::string("sink factory failed: ") + e.what());
-            }
-        }
-
-        // The optional group observer (never set on a live group)
-        // rides the fan-out after every point sink; its failures never
-        // reach the points.
         std::unique_ptr<TraceSink> observer;
-        if (options_.groupObserver) {
-            try {
-                observer = options_.groupObserver(head.key, *run);
-            } catch (const std::exception &) {
-                observer.reset();
+        GuardedFanout fanout;
+        const auto attach =
+            [&](const std::shared_ptr<const obs::MethodMap> &map)
+            -> TraceSink * {
+            run.methods = map;
+            for (std::size_t m = 0; m < members.size(); ++m) {
+                try {
+                    sinks[m] = grid[members[m]].makeSink(run);
+                    if (sinks[m] == nullptr)
+                        throw VmError("sink factory returned null");
+                    fanout.add(sinks[m].get());
+                    subMember.push_back(m);
+                } catch (const std::exception &e) {
+                    fail(members[m],
+                         std::string("sink factory failed: ") + e.what());
+                }
             }
-            if (observer != nullptr)
-                subs.push_back({observer.get(), false, ""});
-        }
-        GuardedFanout fanout(std::move(subs));
-
-        if (live) {
-            // The VM feeds the fan-out directly; nothing is recorded.
-            try {
-                obs::ScopedSpan span("sweep.live", "sweep");
-                span.arg("trace", keyStr);
-                span.arg("sinks",
-                         std::to_string(fanout.subscribers().size()));
-                liveRun->result = cache_->runLive(head.key, fanout);
-            } catch (const std::exception &e) {
-                failGroup(e);
-                return;
+            // The optional group observer rides the fan-out after
+            // every point sink; its failures never reach the points.
+            if (options_.groupObserver) {
+                try {
+                    observer = options_.groupObserver(head.key, run);
+                } catch (const std::exception &) {
+                    observer.reset();
+                }
+                if (observer != nullptr)
+                    fanout.add(observer.get());
             }
-        } else {
-            // Acquire and replay are separate passes so a span view
-            // shows both stages on every worker lane.
-            obs::ScopedSpan span("sweep.replay", "sweep");
+            return &fanout;
+        };
+        try {
+            obs::ScopedSpan span("sweep.live", "sweep");
             span.arg("trace", keyStr);
+            RunSpec spec = head.key.toRunSpec();
+            spec.sharedCache = options_.sharedCache;
+            run.result = runWorkload(spec, attach);
             span.arg("sinks",
                      std::to_string(fanout.subscribers().size()));
-            run->trace->replay(fanout);
+        } catch (const std::exception &e) {
+            for (const std::size_t idx : members)
+                fail(idx, std::string("recording failed: ") + e.what());
+            finishGroup(members, nullptr);
+            return;
         }
         const double shared = secondsSince(g0)
             / static_cast<double>(members.size());
@@ -419,7 +371,7 @@ SweepEngine::run(const std::vector<SweepPoint> &grid)
             const std::size_t m = subMember[s];
             const std::size_t idx = members[m];
             PointResult &slot = result.points[idx];
-            slot.traceEvents = run->result.totalEvents;
+            slot.traceEvents = run.result.totalEvents;
             const auto e0 = std::chrono::steady_clock::now();
             if (fanout.subscribers()[s].dead) {
                 fail(idx, fanout.subscribers()[s].error);
@@ -427,7 +379,7 @@ SweepEngine::run(const std::vector<SweepPoint> &grid)
                 try {
                     obs::ScopedSpan span("sweep.extract", "sweep");
                     span.arg("label", slot.label);
-                    slot.metrics = grid[idx].extract(*sinks[m], *run);
+                    slot.metrics = grid[idx].extract(*sinks[m], run);
                     slot.ok = true;
                 } catch (const std::exception &e) {
                     fail(idx,
@@ -440,9 +392,9 @@ SweepEngine::run(const std::vector<SweepPoint> &grid)
         if (observer != nullptr && options_.groupObserved
             && !fanout.subscribers().back().dead) {
             std::lock_guard<std::mutex> lock(observerMu);
-            options_.groupObserved(head.key, *run, *observer);
+            options_.groupObserved(head.key, run, *observer);
         }
-        finishGroup(members);
+        finishGroup(members, &run.result);
     };
 
     const unsigned workers = resolveJobs(options_.jobs, groups.size());
@@ -459,12 +411,7 @@ SweepEngine::run(const std::vector<SweepPoint> &grid)
 
     result.jobs = workers;
     result.wallSeconds = secondsSince(t0);
-    const TraceCache::Stats after = cache_->stats();
-    result.traces.recordings = after.recordings - before.recordings;
-    result.traces.memoryHits = after.memoryHits - before.memoryHits;
-    result.traces.diskLoads = after.diskLoads - before.diskLoads;
-    result.traces.translateBuildNs =
-        after.translateBuildNs - before.translateBuildNs;
+    result.traces = traces;
     if (options_.sharedCache != nullptr) {
         result.sharedCacheUsed = true;
         const SharedCacheStats s = options_.sharedCache->stats();

@@ -113,6 +113,8 @@ ExecutionEngine::ExecutionEngine(const Program &prog, EngineConfig cfg)
         std::make_unique<RuntimeSupport>(*registry_, *heap_, emitter_);
     cache_ = std::make_unique<CodeCache>(cfg_.codeCache);
     cache_->setEvictionHook([this](const NativeMethod &nm) {
+        if (cfg_.codeObserver != nullptr)
+            cfg_.codeObserver->onEvict(nm, counting_.total());
         rearmBase_[nm.id] = profiles_.of(nm.id).invocations;
         translator_->releaseShared(nm.id);
         // The OSR counter is re-armed alongside the invocation
@@ -131,6 +133,11 @@ ExecutionEngine::ExecutionEngine(const Program &prog, EngineConfig cfg)
             }
         }
     });
+    if (cfg_.codeObserver != nullptr) {
+        cache_->setInstallHook([this](const NativeMethod &nm) {
+            cfg_.codeObserver->onInstall(nm, counting_.total());
+        });
+    }
     cache_->setRetranslateCost([this](MethodId id) {
         auto it = lastTranslateCost_.find(id);
         return it != lastTranslateCost_.end() ? it->second
@@ -173,6 +180,15 @@ std::uint64_t
 ExecutionEngine::eventCount() const
 {
     return counting_.total();
+}
+
+const NativeMethod *
+ExecutionEngine::steppingNative() const
+{
+    if (stepping_ == nullptr || stepping_->frames.empty())
+        return nullptr;
+    const auto *f = std::get_if<NativeFrame>(&stepping_->frames.back());
+    return f != nullptr ? f->nm : nullptr;
 }
 
 void
@@ -506,6 +522,7 @@ ExecutionEngine::stepThread(VmThread &thread)
     const std::uint64_t quantum =
         thread.state == ThreadState::Runnable ? cfg_.quantum : 1;
     bool progressed = false;
+    stepping_ = &thread;
 
     for (std::uint64_t i = 0; i < quantum; ++i) {
         if (thread.frames.empty()) {
@@ -519,8 +536,13 @@ ExecutionEngine::stepThread(VmThread &thread)
             running = std::get<InterpFrame>(thread.frames.back())
                           .method->id;
         } else {
-            running =
-                std::get<NativeFrame>(thread.frames.back()).nm->id;
+            const NativeMethod *nm =
+                std::get<NativeFrame>(thread.frames.back()).nm;
+            running = nm->id;
+            if (cfg_.codeObserver != nullptr && nm != lastNative_) {
+                lastNative_ = nm;
+                cfg_.codeObserver->onNativeFrame(*nm, counting_.total());
+            }
         }
 
         const std::uint64_t before = counting_.total();

@@ -51,6 +51,13 @@ struct EngineConfig {
     SyncKind syncKind = SyncKind::ThinLock;
     /** Observer of the native instruction stream (may be null). */
     TraceSink *sink = nullptr;
+    /**
+     * Told of every code-cache install and eviction and of each move
+     * between compiled methods, stamped with the stream position
+     * (vm/jit/code_cache.h; may be null). Notices never change the
+     * stream.
+     */
+    CodeObserver *codeObserver = nullptr;
     /** Green-thread time slice, in stepper steps. */
     std::uint64_t quantum = 300;
     /** Safety cap on simulated instructions (0 = unlimited). */
@@ -248,6 +255,14 @@ class ExecutionEngine : public EngineServices {
     /** Access to the code cache (profilers build method maps from it). */
     const CodeCache &codeCache() const { return *cache_; }
 
+    /**
+     * Test hook: the compiled method whose frame the executor is
+     * stepping, or null when the thread being stepped runs
+     * interpreted code. Read it from a sink: while a NativeExec event
+     * is delivered it names the method that emitted it.
+     */
+    const NativeMethod *steppingNative() const;
+
     /** The configured collector (CollectorKind::None when GC is off). */
     gc::CollectorKind collectorKind() const { return cfg_.gc.collector; }
 
@@ -286,6 +301,10 @@ class ExecutionEngine : public EngineServices {
     std::unique_ptr<NativeExecutor> exec_;
 
     std::vector<std::unique_ptr<VmThread>> threads_;
+    /** Thread stepThread is running (steppingNative). */
+    const VmThread *stepping_ = nullptr;
+    /** Method of the native frame last reported to codeObserver. */
+    const NativeMethod *lastNative_ = nullptr;
     std::unique_ptr<gc::GcController> gc_;
     ProfileTable profiles_;
     std::set<MethodId> uncompilable_;

@@ -239,6 +239,8 @@ CodeCache::install(std::unique_ptr<NativeMethod> nm)
     liveBytes_ += extent;
     auto [it, ok] = methods_.emplace(id, std::move(e));
     (void)ok;
+    if (installHook_)
+        installHook_(*it->second.nm);
     return it->second.nm.get();
 }
 
@@ -257,6 +259,7 @@ CodeCache::uninstall(MethodId id)
     alloc_.release(
         static_cast<std::size_t>(e.nm->codeBase - seg::kCodeCache),
         e.extentBytes);
+    e.nm->retired = true;
     retired_.push_back(std::move(e.nm));
     methods_.erase(it);
     return true;

@@ -137,6 +137,31 @@ class ExtentAllocator {
     AllocStrategy strategy_ = AllocStrategy::kFirstFit;
 };
 
+/**
+ * Told as generated code comes and goes and as the executor moves
+ * between compiled methods, so a consumer of the trace stream can
+ * tell which method owns each native pc at each point of the run
+ * (obs::MethodMap::follow). @p at is the number of trace events
+ * emitted before the notice: the change holds from event @p at on.
+ */
+class CodeObserver {
+  public:
+    virtual ~CodeObserver() = default;
+
+    /** @p nm now occupies its code range (before its install stores). */
+    virtual void onInstall(const NativeMethod &nm, std::uint64_t at) = 0;
+
+    /** @p nm's range is about to be recycled; its frames may still run. */
+    virtual void onEvict(const NativeMethod &nm, std::uint64_t at) = 0;
+
+    /**
+     * The executor is about to step a frame of @p nm, and the last
+     * native frame it stepped belonged to another method.
+     */
+    virtual void onNativeFrame(const NativeMethod &nm,
+                               std::uint64_t at) = 0;
+};
+
 /** Owner of all NativeMethods produced in a run. */
 class CodeCache {
   public:
@@ -145,6 +170,8 @@ class CodeCache {
     using CostFn = std::function<std::uint64_t(MethodId)>;
     /** Invoked just before a method's extent is recycled. */
     using EvictionHook = std::function<void(const NativeMethod &)>;
+    /** Invoked once a method has its codeBase, before install returns. */
+    using InstallHook = std::function<void(const NativeMethod &)>;
 
     CodeCache() : alloc_(cfg_.segmentLimit, cfg_.strategy) {}
     explicit CodeCache(const CodeCacheConfig &cfg);
@@ -236,6 +263,9 @@ class CodeCache {
     /** Set the pre-eviction notification hook. */
     void setEvictionHook(EvictionHook fn) { hook_ = std::move(fn); }
 
+    /** Set the post-install notification hook. */
+    void setInstallHook(InstallHook fn) { installHook_ = std::move(fn); }
+
   private:
     struct Entry {
         std::unique_ptr<NativeMethod> nm;
@@ -261,6 +291,7 @@ class CodeCache {
     std::uint64_t bytesEvicted_ = 0;
     CostFn costFn_;
     EvictionHook hook_;
+    InstallHook installHook_;
     mutable std::atomic<std::uint64_t> lookups_{0};
     mutable std::atomic<std::uint64_t> lookupMisses_{0};
 };

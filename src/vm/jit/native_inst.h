@@ -132,6 +132,11 @@ struct NativeMethod {
     std::vector<std::int32_t> bc2n;
     SimAddr codeBase = 0;     ///< address of code[0] in seg::kCodeCache
     std::uint16_t numSpills = 0;  ///< spill slots in the frame
+    /**
+     * Evicted: the extent belongs to the free list (or a newer method)
+     * while frames already running this code go on running it.
+     */
+    bool retired = false;
 
     /** Simulated pc of instruction @p idx. */
     SimAddr pcOf(std::uint32_t idx) const { return codeBase + 4ull * idx; }

@@ -12,8 +12,8 @@
  *  - the trace-invariant checker: every workload's interp and jit
  *    streams are clean and conserve events, plus synthetic bad-event
  *    unit tests;
- *  - the on-disk linter against a real sweep trace cache, including
- *    corrupt/missing sidecars.
+ *  - the trace-file linter on a real exported stream, including a
+ *    corrupt record, a garbage file and a missing one.
  */
 #include <gtest/gtest.h>
 
@@ -28,8 +28,9 @@
 #include "check/progen.h"
 #include "isa/address_map.h"
 #include "isa/trace_buffer.h"
+#include "isa/trace_io.h"
 #include "obs/attribution.h"
-#include "sweep/trace_cache.h"
+#include "sweep/trace_key.h"
 #include "vm/bytecode/assembler.h"
 #include "vm/engine/engine.h"
 #include "vm/engine/policy.h"
@@ -560,7 +561,7 @@ TEST(Attribution, ProfileMatchesTraceJoin)
 }
 
 // ---------------------------------------------------------------------
-// On-disk trace linting (sweep cache layout + sidecars)
+// On-disk trace linting
 // ---------------------------------------------------------------------
 
 namespace {
@@ -576,16 +577,13 @@ class LintTrace : public testing::Test {
                + testing::UnitTest::GetInstance()
                      ->current_test_info()->name());
         fs::remove_all(dir_);
-        sweep::TraceCache cache(dir_.string());
-        cache.get(sweep::traceKey("hello", sweep::ExecMode::interp()));
-
-        for (const auto &e : fs::directory_iterator(dir_)) {
-            const std::string name = e.path().filename().string();
-            if (name.size() > 9
-                && name.compare(name.size() - 9, 9, ".jrstrace") == 0)
-                trace_ = e.path().string();
-        }
-        ASSERT_FALSE(trace_.empty());
+        fs::create_directories(dir_);
+        trace_ = (dir_ / "hello.jrstrace").string();
+        TraceFileWriter writer(trace_);
+        RunSpec spec = sweep::traceKey("hello", sweep::ExecMode::interp())
+                           .toRunSpec();
+        spec.sink = &writer;
+        (void)runWorkload(spec);
     }
 
     void TearDown() override { fs::remove_all(dir_); }
@@ -596,53 +594,13 @@ class LintTrace : public testing::Test {
 
 } // namespace
 
-TEST_F(LintTrace, FreshCacheIsClean)
-{
-    const auto results = check::lintCacheDir(dir_.string());
-    ASSERT_EQ(results.size(), 1u);
-    EXPECT_TRUE(results[0].second.ok) << results[0].second.error;
-    EXPECT_GT(results[0].second.events, 0u);
-}
-
-TEST_F(LintTrace, CorruptMethodsSidecarIsACleanError)
-{
-    {
-        std::ofstream f(trace_ + ".methods", std::ios::trunc);
-        f << "this is not a hex range line\n";
-    }
-    const check::LintResult r = check::lintTraceFile(trace_, true);
-    EXPECT_FALSE(r.ok);
-    EXPECT_NE(r.error.find(".methods"), std::string::npos) << r.error;
-
-    // Without sidecar checking the stream itself is still fine.
-    const check::LintResult raw = check::lintTraceFile(trace_, false);
-    EXPECT_TRUE(raw.ok) << raw.error;
-}
-
-TEST_F(LintTrace, MissingMetaSidecarIsACleanError)
-{
-    fs::remove(trace_ + ".meta");
-    const check::LintResult r = check::lintTraceFile(trace_, true);
-    EXPECT_FALSE(r.ok);
-    EXPECT_NE(r.error.find(".meta"), std::string::npos) << r.error;
-}
-
-TEST_F(LintTrace, MetaEventCountMismatchIsDetected)
-{
-    const std::string key =
-        fs::path(trace_).filename().string().substr(
-            0, fs::path(trace_).filename().string().find(".jrstrace"));
-    {
-        std::ofstream f(trace_ + ".meta", std::ios::trunc);
-        f << "key=" << key << "\nexit=0\nevents=1\n";
-    }
-    const check::LintResult r = check::lintTraceFile(trace_, true);
-    EXPECT_FALSE(r.ok);
-    EXPECT_NE(r.error.find("events"), std::string::npos) << r.error;
-}
-
 TEST_F(LintTrace, CorruptRecordIsACleanError)
 {
+    // A freshly written stream lints clean.
+    const check::LintResult fresh = check::lintTraceFile(trace_);
+    EXPECT_TRUE(fresh.ok) << fresh.error;
+    EXPECT_GT(fresh.events, 3u);
+
     // Phase tag of record 3 (byte 25) out of range: the shared
     // JRSTRACE reader refuses the file and lint reports why.
     {
@@ -657,7 +615,7 @@ TEST_F(LintTrace, CorruptRecordIsACleanError)
         std::fputc(9, f);
         std::fclose(f);
     }
-    const check::LintResult r = check::lintTraceFile(trace_, false);
+    const check::LintResult r = check::lintTraceFile(trace_);
     EXPECT_FALSE(r.ok);
     EXPECT_EQ(r.events, 0u);
     EXPECT_EQ(r.error,
@@ -672,10 +630,10 @@ TEST_F(LintTrace, GarbageFileFailsHeaderCheck)
         std::ofstream f(bogus, std::ios::trunc);
         f << "garbage";
     }
-    const check::LintResult r = check::lintTraceFile(bogus, false);
+    const check::LintResult r = check::lintTraceFile(bogus);
     EXPECT_FALSE(r.ok);
 
     const check::LintResult missing =
-        check::lintTraceFile((dir_ / "nope.jrstrace").string(), false);
+        check::lintTraceFile((dir_ / "nope.jrstrace").string());
     EXPECT_FALSE(missing.ok);
 }

@@ -343,6 +343,117 @@ TEST(ObsAttribution, ContextFastPathEqualsRowOf)
     expectFastPathExact(empty, 3);
 }
 
+/**
+ * Ground truth for NativeExec attribution: at every NativeExec event
+ * the engine names the compiled method whose frame it is stepping.
+ * Records that name per event (for replays), counts the events run by
+ * code already evicted, and checks a MethodContext on a followed map
+ * against it as the events arrive.
+ */
+class ExecutingMethodOracle : public TraceSink {
+  public:
+    explicit ExecutingMethodOracle(const obs::MethodMap &map)
+        : map_(map), ctx_(map) {}
+
+    void attach(const ExecutionEngine &engine) { engine_ = &engine; }
+
+    void onEvent(const TraceEvent &ev) override {
+        const int row = ctx_.observe(ev);
+        if (ev.phase != Phase::NativeExec)
+            return;
+        const NativeMethod *nm = engine_->steppingNative();
+        ASSERT_NE(nm, nullptr);
+        truth.push_back(&nm->src->name);
+        if (nm->retired)
+            ++retired;
+        if (row < 0 || map_.name(row) != nm->src->name)
+            ++wrong;
+    }
+
+    /** Executing method of each NativeExec event, in stream order. */
+    std::vector<const std::string *> truth;
+    std::uint64_t retired = 0;  ///< events of evicted code
+    std::uint64_t wrong = 0;    ///< events the followed map misnamed
+
+  private:
+    const obs::MethodMap &map_;
+    obs::MethodContext ctx_;
+    const ExecutionEngine *engine_ = nullptr;
+};
+
+/** NativeExec events @p map (replayed through @p trace) misnames. */
+std::uint64_t
+misnamedOnReplay(const TraceBuffer &trace, const obs::MethodMap &map,
+                 const std::vector<const std::string *> &truth)
+{
+    struct Check : TraceSink {
+        Check(const obs::MethodMap &m,
+              const std::vector<const std::string *> &t)
+            : map(m), ctx(m), truth(t) {}
+        void onEvent(const TraceEvent &ev) override {
+            const int row = ctx.observe(ev);
+            if (ev.phase != Phase::NativeExec)
+                return;
+            const std::string &want = *truth[next++];
+            if (row < 0 || map.name(row) != want)
+                ++wrong;
+        }
+        const obs::MethodMap &map;
+        obs::MethodContext ctx;
+        const std::vector<const std::string *> &truth;
+        std::size_t next = 0;
+        std::uint64_t wrong = 0;
+    } check(map, truth);
+    trace.replay(check);
+    EXPECT_EQ(check.next, truth.size());
+    return check.wrong;
+}
+
+TEST(ObsAttribution, FollowedMapNamesTheExecutingMethodUnderEviction)
+{
+    // Small FIFO code caches evict methods whose frames keep running
+    // (their code is retired, not freed) and hand their addresses to
+    // newer methods.
+    const struct {
+        const char *workload;
+        std::size_t capacity;
+    } cases[] = {{"javac", 4096}, {"jack", 2048}};
+    for (const auto &c : cases) {
+        SCOPED_TRACE(c.workload);
+        const WorkloadInfo &w = tiny(c.workload);
+        const Program prog = w.build();
+        obs::MethodMap map = obs::MethodMap::follow(prog);
+        ExecutingMethodOracle oracle(map);
+        TraceBuffer trace;
+        MultiSink sinks;
+        sinks.add(&oracle);
+        sinks.add(&trace);
+        EngineConfig cfg;
+        cfg.policy = std::make_shared<AlwaysCompilePolicy>();
+        cfg.codeCache.capacityBytes = c.capacity;
+        cfg.codeCache.policy = EvictionPolicy::kFifo;
+        cfg.sink = &sinks;
+        cfg.codeObserver = &map;
+        ExecutionEngine engine(prog, cfg);
+        oracle.attach(engine);
+        const RunResult res = engine.run(w.tinyArg);
+        ASSERT_TRUE(res.completed);
+        ASSERT_GT(res.codeCacheEvictions, 0u);
+
+        // The case this test exists for: events of evicted code.
+        EXPECT_GT(oracle.retired, 0u);
+        EXPECT_EQ(oracle.wrong, 0u);
+        ASSERT_EQ(oracle.truth.size(), res.inPhase(Phase::NativeExec));
+
+        // A replay through the same followed map agrees; the
+        // end-of-run map of a recording cannot.
+        EXPECT_EQ(misnamedOnReplay(trace, map, oracle.truth), 0u);
+        const obs::MethodMap end =
+            obs::MethodMap::forRun(engine.registry(), engine.codeCache());
+        EXPECT_GT(misnamedOnReplay(trace, end, oracle.truth), 0u);
+    }
+}
+
 /** CountingSink as a sweep model: phase totals become metrics. */
 sweep::SweepPoint
 countingPoint(const std::string &label, const sweep::TraceKey &key)
@@ -419,7 +530,7 @@ TEST(ObsSweep, ResultsBitIdenticalWithObsOnAndOff)
     EXPECT_EQ(reg.counterValue("sweep.points.done"),
               on.points.size());
     EXPECT_EQ(reg.counterValue("sweep.points.failed"), 0u);
-    EXPECT_EQ(reg.counterValue("trace_cache.recordings"), 4u);
+    EXPECT_EQ(reg.counterValue("sweep.recordings"), 4u);
     EXPECT_EQ(reg.gaugeValue("sweep.queue_depth"), 0.0);
     EXPECT_EQ(reg.histogram("sweep.point_seconds").snapshot().count,
               on.points.size());
@@ -454,25 +565,6 @@ TEST(ObsSweep, ProgressCallbackIsMonotoneAndComplete)
     EXPECT_EQ(seen.back().pointsDone, result.points.size());
     EXPECT_EQ(seen.back().traces.recordings,
               result.traces.recordings);
-}
-
-TEST(ObsTraceCache, PublishesHitAndRecordCounters)
-{
-    ObsGuard guard;
-    obs::setEnabled(true);
-    sweep::TraceCache cache("");
-    const WorkloadInfo &w = tiny("hello");
-    const sweep::TraceKey key =
-        sweep::traceKey("hello", sweep::ExecMode::interp(), w.tinyArg);
-    (void)cache.get(key);
-    (void)cache.get(key);
-    obs::MetricRegistry &reg = obs::metrics();
-    EXPECT_EQ(reg.counterValue("trace_cache.recordings"), 1u);
-    EXPECT_EQ(reg.counterValue("trace_cache.memory_hits"), 1u);
-    EXPECT_EQ(reg.counterValue("trace_cache.disk_loads"), 0u);
-    // The record pass left a span behind.
-    const std::string json = obs::tracer().toJson();
-    EXPECT_NE(json.find("trace.record"), std::string::npos);
 }
 
 } // namespace

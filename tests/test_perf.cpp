@@ -13,17 +13,13 @@
  *    byte-identical to each profiler's solo composite.
  *  - IntervalTimeline reproduces TimeSeriesCacheSink's windowed
  *    curves exactly (the Figure 6 port).
- *  - The trace cache's .methods sidecar round-trips MethodMaps to
- *    later processes.
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <filesystem>
 #include <ostream>
 #include <memory>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "arch/cache/time_series.h"
@@ -42,17 +38,6 @@
 
 namespace jrs {
 namespace {
-
-/** Unique-per-test temp dir, removed at scope exit. */
-struct TempDir {
-    explicit TempDir(const std::string &leaf)
-        : path(std::string(::testing::TempDir()) + leaf)
-    {
-        std::filesystem::remove_all(path);
-    }
-    ~TempDir() { std::filesystem::remove_all(path); }
-    std::string path;
-};
 
 std::shared_ptr<CompilationPolicy>
 policyFor(const std::string &mode)
@@ -421,69 +406,6 @@ TEST(Perf, ReportSetOverwritesDuplicateLabels)
     reports.add("run", sink.perf());
     reports.add("run", sink.perf());
     EXPECT_EQ(reports.size(), 1u);
-}
-
-TEST(Perf, MethodsSidecarRoundTripsThroughDiskCache)
-{
-    TempDir dir("jrs_perf_methods_sidecar");
-    const WorkloadInfo *w = findWorkload("hello");
-    ASSERT_NE(w, nullptr);
-    const sweep::TraceKey key =
-        sweep::traceKey("hello", sweep::ExecMode::jit(), w->tinyArg);
-
-    sweep::TraceCache writer(dir.path);
-    const auto recorded = writer.get(key);
-    ASSERT_NE(recorded->methods, nullptr);
-    EXPECT_GT(recorded->methods->rows(), 0u);
-
-    // A fresh cache on the same directory stands in for a later
-    // process: the sidecar must restore an identical map.
-    sweep::TraceCache reader(dir.path);
-    const auto loaded = reader.get(key);
-    EXPECT_EQ(reader.stats().diskLoads, 1u);
-    ASSERT_NE(loaded->methods, nullptr);
-
-    std::vector<std::tuple<SimAddr, SimAddr, std::string>> a, b;
-    recorded->methods->forEachRange(
-        [&](SimAddr lo, SimAddr hi, const std::string &name) {
-            a.emplace_back(lo, hi, name);
-        });
-    loaded->methods->forEachRange(
-        [&](SimAddr lo, SimAddr hi, const std::string &name) {
-            b.emplace_back(lo, hi, name);
-        });
-    EXPECT_EQ(a, b);
-
-    // Attribution through the restored map matches the original.
-    obs::AttributedPipeline viaOriginal(PipelineConfig{},
-                                        recorded->methods);
-    recorded->trace->replay(viaOriginal);
-    obs::AttributedPipeline viaSidecar(PipelineConfig{},
-                                       loaded->methods);
-    loaded->trace->replay(viaSidecar);
-    const obs::PerfCell so = methodSum(viaOriginal.perf());
-    const obs::PerfCell ss = methodSum(viaSidecar.perf());
-    EXPECT_EQ(so.insts, ss.insts);
-    EXPECT_EQ(so.cycles(), ss.cycles());
-    // Row indices may differ (the sidecar restores ranges in address
-    // order), so compare per-method cells by name.
-    const auto byName = [](const obs::PerfAttribution &perf) {
-        std::vector<std::pair<std::string, std::uint64_t>> out;
-        for (std::size_t row = 0; row < perf.map().rows(); ++row) {
-            out.emplace_back(
-                perf.map().name(static_cast<int>(row)),
-                perf.methodCell(row).cycles());
-        }
-        std::sort(out.begin(), out.end());
-        return out;
-    };
-    EXPECT_EQ(byName(viaOriginal.perf()), byName(viaSidecar.perf()));
-    EXPECT_EQ(viaOriginal.perf()
-                  .methodCell(viaOriginal.perf().map().rows())
-                  .cycles(),
-              viaSidecar.perf()
-                  .methodCell(viaSidecar.perf().map().rows())
-                  .cycles());
 }
 
 /** FNV-1a over the bytes of @p text. */

@@ -1,15 +1,12 @@
 /**
  * @file
  * Sweep-engine contract tests: parallel results are bit-identical to
- * live serial runs, live groups are bit-identical to recorded ones
- * and are taken exactly when nothing needs the recording, faults
- * poison only their own point (with the same message on both paths),
- * and a shared trace cache records each stream exactly once (memory
- * and disk).
+ * live serial runs and to replaying a recording of each stream into
+ * the same sinks — profiler reports included — and faults poison only
+ * their own point (with the same message at any job count).
  */
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <filesystem>
 #include <map>
 #include <stdexcept>
@@ -19,7 +16,9 @@
 #include "arch/pipeline/pipeline.h"
 #include "harness/experiment.h"
 #include "isa/trace_buffer.h"
+#include "isa/trace_io.h"
 #include "sweep/grids.h"
+#include "sweep/observers.h"
 #include "sweep/sweep.h"
 #include "vm/runtime/vm_error.h"
 
@@ -141,16 +140,12 @@ liveSerialMetrics(const SweepPoint &p)
     return p.extract(*sink, run);
 }
 
-/** Sweep @p grid on a private engine (live) or a shared cache
-    (record-then-replay). */
+/** Sweep @p grid on @p jobs workers. */
 SweepResult
-sweepOn(const std::vector<SweepPoint> &grid, bool recorded,
-        unsigned jobs = 2)
+sweepOn(const std::vector<SweepPoint> &grid, unsigned jobs)
 {
     SweepOptions opts;
     opts.jobs = jobs;
-    if (recorded)
-        opts.cache = std::make_shared<TraceCache>();
     return SweepEngine(opts).run(grid);
 }
 
@@ -184,10 +179,8 @@ TEST(Sweep, ParallelResultsBitIdenticalToLiveSerial)
         }
     }
 
-    // Four unique streams, recorded once each, everything else served
-    // from memory.
+    // Four unique streams, one VM run each.
     EXPECT_EQ(result.traces.recordings, 4u);
-    EXPECT_EQ(result.traces.diskLoads, 0u);
 }
 
 TEST(Sweep, ThrowingSinkFactoryPoisonsOnlyItsPoint)
@@ -242,11 +235,11 @@ TEST(Sweep, ThrowingSinkPoisonsOnlyItsPoint)
         }));
     grid.push_back(cachePoint("also-good", key, 4));
 
-    // Live (private engine) and record-then-replay (shared cache)
-    // detach the sink at the same event with the same message.
-    const SweepResult live = sweepOn(grid, false);
-    const SweepResult recorded = sweepOn(grid, true);
-    for (const SweepResult *r : {&live, &recorded}) {
+    // Parallel and serial sweeps detach the sink at the same event
+    // with the same message.
+    const SweepResult live = sweepOn(grid, 2);
+    const SweepResult serial = sweepOn(grid, 1);
+    for (const SweepResult *r : {&live, &serial}) {
         EXPECT_TRUE(r->points[0].ok);
         EXPECT_TRUE(r->points[2].ok);
         EXPECT_FALSE(r->points[1].ok);
@@ -256,13 +249,12 @@ TEST(Sweep, ThrowingSinkPoisonsOnlyItsPoint)
 
     // The surviving points still match a live serial run.
     for (const std::size_t i : {0u, 2u}) {
-        const std::vector<Metric> serial = liveSerialMetrics(grid[i]);
-        for (const SweepResult *r : {&live, &recorded}) {
-            ASSERT_EQ(r->points[i].metrics.size(), serial.size());
-            for (std::size_t m = 0; m < serial.size(); ++m) {
-                EXPECT_EQ(r->points[i].metrics[m].value,
-                          serial[m].value)
-                    << r->points[i].label << "." << serial[m].name;
+        const std::vector<Metric> ref = liveSerialMetrics(grid[i]);
+        for (const SweepResult *r : {&live, &serial}) {
+            ASSERT_EQ(r->points[i].metrics.size(), ref.size());
+            for (std::size_t m = 0; m < ref.size(); ++m) {
+                EXPECT_EQ(r->points[i].metrics[m].value, ref[m].value)
+                    << r->points[i].label << "." << ref[m].name;
             }
         }
     }
@@ -287,107 +279,6 @@ TEST(Sweep, RecordingFailurePoisonsOnlyItsGroup)
         << result.points[1].error;
 }
 
-TEST(Sweep, RecordsEachStreamOncePerProcess)
-{
-    const TraceKey key = tinyKey("db", ExecMode::interp());
-    std::vector<SweepPoint> grid;
-    for (const std::uint32_t assoc : {1u, 2u, 4u, 8u}) {
-        grid.push_back(cachePoint(
-            "assoc" + std::to_string(assoc), key, assoc));
-    }
-
-    // Record-once is a property of a shared cache: a private engine
-    // runs run-free groups live and keeps no stream.
-    SweepOptions opts;
-    opts.cache = std::make_shared<TraceCache>();
-    SweepEngine engine(opts);
-    const SweepResult first = engine.run(grid);
-    EXPECT_TRUE(first.allOk());
-    EXPECT_EQ(first.traces.recordings, 1u);
-
-    // A second sweep over the same stream is pure replay.
-    const SweepResult second = engine.run(grid);
-    EXPECT_TRUE(second.allOk());
-    EXPECT_EQ(second.traces.recordings, 0u);
-    EXPECT_EQ(second.traces.memoryHits, 1u);
-    for (std::size_t i = 0; i < grid.size(); ++i) {
-        EXPECT_EQ(first.points[i].metrics[0].value,
-                  second.points[i].metrics[0].value);
-    }
-}
-
-TEST(Sweep, DiskCacheServesSecondProcess)
-{
-    TempDir dir("jrs_sweep_disk_cache");
-    const TraceKey key = tinyKey("compress", ExecMode::jit());
-
-    TraceCache writer(dir.path);
-    const auto recorded = writer.get(key);
-    EXPECT_EQ(writer.stats().recordings, 1u);
-    ASSERT_NE(recorded->trace, nullptr);
-    EXPECT_GT(recorded->trace->size(), 0u);
-
-    // A fresh cache on the same directory stands in for a later
-    // process: it must load, not re-record.
-    TraceCache reader(dir.path);
-    const auto loaded = reader.get(key);
-    EXPECT_EQ(reader.stats().recordings, 0u);
-    EXPECT_EQ(reader.stats().diskLoads, 1u);
-
-    ASSERT_EQ(loaded->trace->size(), recorded->trace->size());
-    EXPECT_EQ(loaded->result.exitValue, recorded->result.exitValue);
-    EXPECT_EQ(loaded->result.totalEvents,
-              recorded->result.totalEvents);
-}
-
-TEST(Sweep, TruncatedDiskTraceIsReRecorded)
-{
-    TempDir dir("jrs_sweep_truncated");
-    const TraceKey key = tinyKey("compress", ExecMode::jit());
-    const std::vector<SweepPoint> grid = {cachePoint("c", key, 2)};
-
-    SweepOptions opts;
-    opts.cacheDir = dir.path;
-    const SweepResult first = SweepEngine(opts).run(grid);
-    ASSERT_TRUE(first.allOk());
-    EXPECT_EQ(first.traces.recordings, 1u);
-
-    // Cut the stored stream mid-record, as an interrupted write would.
-    const std::string path = dir.path + "/" + key.str() + ".jrstrace";
-    const auto size = std::filesystem::file_size(path);
-    std::filesystem::resize_file(path, size - 7);
-
-    const SweepResult second = SweepEngine(opts).run(grid);
-    ASSERT_TRUE(second.allOk());
-    EXPECT_EQ(second.traces.diskLoads, 0u);
-    EXPECT_EQ(second.traces.recordings, 1u);
-    EXPECT_EQ(second.points[0].metric("i_miss"),
-              first.points[0].metric("i_miss"));
-    EXPECT_EQ(second.points[0].metric("d_miss"),
-              first.points[0].metric("d_miss"));
-    // The re-recording repaired the file for the next process.
-    EXPECT_EQ(std::filesystem::file_size(path), size);
-
-    // A corrupt phase tag keeps the size and the event count the
-    // .meta sidecar records, so only decoding can catch it.
-    {
-        std::FILE *f = std::fopen(path.c_str(), "r+b");
-        ASSERT_NE(f, nullptr);
-        ASSERT_EQ(std::fseek(f,
-                             static_cast<long>(kTraceHeaderBytes + 25),
-                             SEEK_SET),
-                  0);
-        std::fputc(0xff, f);
-        std::fclose(f);
-    }
-    const SweepResult third = SweepEngine(opts).run(grid);
-    ASSERT_TRUE(third.allOk());
-    EXPECT_EQ(third.traces.diskLoads, 0u);
-    EXPECT_EQ(third.traces.recordings, 1u);
-    EXPECT_EQ(third.points[0].metric("i_miss"),
-              first.points[0].metric("i_miss"));
-}
-
 TEST(Sweep, TraceBufferDiskRoundTripIsLossless)
 {
     TempDir dir("jrs_sweep_roundtrip");
@@ -398,8 +289,12 @@ TEST(Sweep, TraceBufferDiskRoundTripIsLossless)
     const RecordedRun run = recordWorkload(key.toRunSpec());
     ASSERT_GT(run.trace->size(), 0u);
 
-    run.trace->save(path);
-    const TraceBuffer loaded = TraceBuffer::load(path);
+    {
+        TraceFileWriter writer(path);
+        run.trace->replay(writer);
+    }
+    TraceBuffer loaded;
+    replayTraceFile(path, loaded);
 
     ASSERT_EQ(loaded.size(), run.trace->size());
     for (std::uint64_t i = 0; i < loaded.size(); ++i) {
@@ -447,16 +342,47 @@ tinyNamedGrids()
     return grid;
 }
 
+/** Every report of one profiled stream, as one comparable string. */
+std::string
+reportText(const obs::ObsReports &r, const std::string &label)
+{
+    std::string out = r.perf.toJson() + r.cct.toJson() + r.sample.toJson();
+    for (const prof::FoldedLine &l : r.cct.folded(label))
+        out += l.stack + " " + std::to_string(l.value) + "\n";
+    return out;
+}
+
 TEST(Sweep, LiveGroupsBitIdenticalToRecordedOverNamedGrids)
 {
     const std::vector<SweepPoint> grid = tinyNamedGrids();
-    const SweepResult live = sweepOn(grid, false);
+
+    // Live, with every profiler riding every group. Each group's
+    // reports are also kept apart, keyed by stream.
+    obs::ObsCli cli;
+    cli.perfJson = "unused.perf.json";
+    cli.cctJson = "unused.cct.json";
+    cli.sampleJson = "unused.sample.json";
+    obs::ObsReports all;
+    std::map<std::string, std::string> liveReports;
+    SweepOptions opts;
+    opts.jobs = 2;
+    attachObservers(opts, cli, all);
+    opts.groupObserved = [&, collect = opts.groupObserved](
+                             const TraceKey &key, const RecordedRun &run,
+                             TraceSink &sink) {
+        collect(key, run, sink);
+        obs::ObsReports one;
+        static_cast<GroupPipeline &>(sink).observers().addTo(one,
+                                                             key.str());
+        liveReports[key.str()] = reportText(one, key.str());
+    };
+    const SweepResult live = SweepEngine(opts).run(grid);
     ASSERT_EQ(live.points.size(), grid.size());
     EXPECT_TRUE(live.allOk());
 
-    // The recorded side runs one stream per engine: a shared cache
-    // keeps every stream it records until it is destroyed, and all of
-    // these together would take gigabytes.
+    // The reference records one stream at a time (recordWorkload),
+    // builds the group's sinks and profiler pipeline on the
+    // recording's end-of-run method map, and replays it into them.
     std::vector<std::vector<std::size_t>> byKey;
     {
         std::map<std::string, std::size_t> slot;
@@ -468,127 +394,52 @@ TEST(Sweep, LiveGroupsBitIdenticalToRecordedOverNamedGrids)
             byKey[it->second].push_back(i);
         }
     }
-    std::vector<PointResult> recorded(grid.size());
-    std::uint64_t recordings = 0;
-    for (const std::vector<std::size_t> &members : byKey) {
-        std::vector<SweepPoint> batch;
-        for (const std::size_t i : members)
-            batch.push_back(grid[i]);
-        const SweepResult r = sweepOn(batch, true);
-        recordings += r.traces.recordings;
-        for (std::size_t j = 0; j < members.size(); ++j)
-            recorded[members[j]] = r.points[j];
-    }
-    // Both paths run the VM once per distinct stream.
     EXPECT_EQ(live.traces.recordings, byKey.size());
-    EXPECT_EQ(recordings, byKey.size());
-
-    for (std::size_t i = 0; i < grid.size(); ++i) {
-        const PointResult &a = live.points[i];
-        const PointResult &b = recorded[i];
-        ASSERT_EQ(a.label, b.label);
-        EXPECT_TRUE(b.ok) << b.label << ": " << b.error;
-        EXPECT_GT(a.traceEvents, 0u) << a.label;
-        EXPECT_EQ(a.traceEvents, b.traceEvents) << a.label;
-        ASSERT_EQ(a.metrics.size(), b.metrics.size()) << a.label;
-        for (std::size_t m = 0; m < a.metrics.size(); ++m) {
-            EXPECT_EQ(a.metrics[m].name, b.metrics[m].name) << a.label;
-            EXPECT_EQ(a.metrics[m].value, b.metrics[m].value)
-                << a.label << "." << a.metrics[m].name;
+    EXPECT_EQ(all.perf.size(), byKey.size());
+    EXPECT_EQ(all.cct.size(), byKey.size());
+    EXPECT_EQ(all.sample.size(), byKey.size());
+    std::size_t unbounded = 0;
+    for (const std::vector<std::size_t> &members : byKey) {
+        const TraceKey &key = grid[members[0]].key;
+        const RecordedRun rec = recordWorkload(key.toRunSpec());
+        std::vector<std::unique_ptr<TraceSink>> sinks;
+        MultiSink fanout;
+        for (const std::size_t i : members) {
+            sinks.push_back(grid[i].makeSink(rec));
+            fanout.add(sinks.back().get());
         }
-    }
-}
+        GroupPipeline observer(rec.methods, cli);
+        fanout.add(&observer);
+        rec.trace->replay(fanout);
 
-/** Counting point that also reports whether it saw a recorded trace. */
-template <bool ReadsRun>
-SweepPoint
-probePoint(const std::string &label, const TraceKey &key)
-{
-    auto extract = [](CountingSink &sink, const RecordedRun &run) {
-        return std::vector<Metric>{
-            {"recorded", run.trace != nullptr ? 1.0 : 0.0},
-            {"events", static_cast<double>(sink.total())},
-        };
-    };
-    if constexpr (ReadsRun) {
-        return makePoint<CountingSink>(
-            label, key,
-            [](const RecordedRun &) {
-                return std::make_unique<CountingSink>();
-            },
-            extract);
-    } else {
-        return makePoint<CountingSink>(
-            label, key, [] { return std::make_unique<CountingSink>(); },
-            extract);
-    }
-}
-
-TEST(Sweep, GroupsRecordOnlyWhenSomethingNeedsTheRecording)
-{
-    TempDir dir("jrs_sweep_path_selection");
-    const TraceKey key = tinyKey("hello", ExecMode::interp());
-    const std::vector<SweepPoint> runFree = {
-        probePoint<false>("a", key), probePoint<false>("b", key)};
-    std::vector<SweepPoint> oneReadsRun = runFree;
-    oneReadsRun.push_back(probePoint<true>("c", key));
-    ASSERT_TRUE(runFree[0].runFree);
-    ASSERT_FALSE(oneReadsRun[2].runFree);
-
-    // A raw point that installs its own factory counts as reading it.
-    SweepPoint raw;
-    raw.label = "raw";
-    raw.key = key;
-    raw.makeSink =
-        [](const RecordedRun &) -> std::unique_ptr<TraceSink> {
-        return std::make_unique<CountingSink>();
-    };
-    raw.extract = runFree[0].extract;
-
-    const auto recorded = [](const SweepResult &r) {
-        EXPECT_TRUE(r.allOk());
-        EXPECT_EQ(r.traces.recordings, 1u);
-        bool all = true;
-        for (const PointResult &p : r.points) {
-            all = all && p.metric("recorded") == 1.0;
-            EXPECT_EQ(p.metric("events"),
-                      static_cast<double>(p.traceEvents));
+        for (std::size_t j = 0; j < members.size(); ++j) {
+            const PointResult &a = live.points[members[j]];
+            const std::vector<Metric> b =
+                grid[members[j]].extract(*sinks[j], rec);
+            ASSERT_TRUE(a.ok) << a.label << ": " << a.error;
+            EXPECT_GT(a.traceEvents, 0u) << a.label;
+            EXPECT_EQ(a.traceEvents, rec.result.totalEvents) << a.label;
+            ASSERT_EQ(a.metrics.size(), b.size()) << a.label;
+            for (std::size_t m = 0; m < b.size(); ++m) {
+                EXPECT_EQ(a.metrics[m].name, b[m].name) << a.label;
+                EXPECT_EQ(a.metrics[m].value, b[m].value)
+                    << a.label << "." << b[m].name;
+            }
         }
-        return all;
-    };
 
-    // Private, run-free, unobserved, no directory: live.
-    const SweepResult live = SweepEngine{}.run(runFree);
-    EXPECT_TRUE(live.allOk());
-    EXPECT_EQ(live.traces.recordings, 1u);
-    for (const PointResult &p : live.points)
-        EXPECT_EQ(p.metric("recorded"), 0.0) << p.label;
-
-    EXPECT_TRUE(recorded(SweepEngine{}.run(oneReadsRun)));
-    EXPECT_TRUE(recorded(SweepEngine{}.run({raw})));
-    {
-        SweepOptions opts;
-        opts.groupObserver = [](const TraceKey &, const RecordedRun &) {
-            return std::make_unique<CountingSink>();
-        };
-        EXPECT_TRUE(recorded(SweepEngine(opts).run(runFree)));
+        // Without eviction the end-of-run map names every event as
+        // the followed map does, so every report is byte-identical.
+        // Under eviction the recorded map misnames evicted code
+        // (Attribution.FollowedMapNamesTheExecutingMethodUnderEviction).
+        if (key.codeCache.capacityBytes != 0)
+            continue;
+        ++unbounded;
+        obs::ObsReports ref;
+        observer.observers().addTo(ref, key.str());
+        EXPECT_EQ(liveReports[key.str()], reportText(ref, key.str()))
+            << key.str();
     }
-    {
-        SweepOptions opts;
-        opts.cacheDir = dir.path;
-        EXPECT_TRUE(recorded(SweepEngine(opts).run(runFree)));
-    }
-    {
-        SweepOptions opts;
-        opts.cache = std::make_shared<TraceCache>();
-        EXPECT_TRUE(recorded(SweepEngine(opts).run(runFree)));
-    }
-
-    // Each live sweep runs the VM again: nothing is kept.
-    SweepEngine engine;
-    (void)engine.run(runFree);
-    EXPECT_EQ(engine.run(runFree).traces.recordings, 1u);
-    EXPECT_EQ(engine.cache().stats().memoryHits, 0u);
+    EXPECT_GT(unbounded, 0u);
 }
 
 /** Counts the events it sees into a counter that outlives it. */
@@ -626,17 +477,17 @@ TEST(Sweep, FailingVmPoisonsEveryMemberLiveAndRecorded)
     };
     grid.push_back(cachePoint("fine", fine, 1));
 
-    const SweepResult live = sweepOn(grid, false);
+    const SweepResult live = sweepOn(grid, 2);
     EXPECT_GT(*seen, 0u);
-    const SweepResult recorded = sweepOn(grid, true);
-    for (const SweepResult *r : {&live, &recorded}) {
+    const SweepResult serial = sweepOn(grid, 1);
+    for (const SweepResult *r : {&live, &serial}) {
         EXPECT_TRUE(r->points[4].ok);
         for (const std::size_t i : {0u, 1u, 2u, 3u}) {
             const PointResult &p = r->points[i];
             EXPECT_FALSE(p.ok) << p.label;
             EXPECT_EQ(p.error.rfind("recording failed: ", 0), 0u)
                 << p.label << ": " << p.error;
-            EXPECT_EQ(p.error, recorded.points[i].error) << p.label;
+            EXPECT_EQ(p.error, serial.points[i].error) << p.label;
         }
     }
 }

@@ -49,6 +49,15 @@ writeValidTrace(const std::string &path, std::uint64_t n)
     w.onFinish();
 }
 
+/** @p path read into memory through the one JRSTRACE reader. */
+TraceBuffer
+loadTrace(const std::string &path)
+{
+    TraceBuffer buf;
+    replayTraceFile(path, buf);
+    return buf;
+}
+
 /** Overwrite byte @p offset of record @p index with @p value. */
 void
 pokeRecordByte(const std::string &path, std::uint64_t index,
@@ -221,21 +230,21 @@ TEST(TraceIo, RejectsTruncatedRecord)
     ASSERT_EQ(std::filesystem::file_size(tmp.path),
               kTraceHeaderBytes + 3 * kTraceRecordBytes);
 
-    // Cut at a record boundary: a shorter stream, which both loaders
-    // accept (the trace cache's event count catches that case).
+    // Cut at a record boundary: a shorter stream, which both readers
+    // accept.
     std::filesystem::resize_file(tmp.path,
                                  kTraceHeaderBytes + 2 * kTraceRecordBytes);
     CountingSink whole;
     EXPECT_EQ(replayTraceFile(tmp.path, whole), 2u);
-    EXPECT_EQ(TraceBuffer::load(tmp.path).size(), 2u);
+    EXPECT_EQ(loadTrace(tmp.path).size(), 2u);
 
-    // Cut mid-record: both loaders must refuse the file.
+    // Cut mid-record: both readers must refuse the file.
     std::filesystem::resize_file(
         tmp.path, kTraceHeaderBytes + 2 * kTraceRecordBytes - 5);
     CountingSink partial;
     EXPECT_THROW(replayTraceFile(tmp.path, partial), VmError);
     EXPECT_EQ(partial.total(), 1u);  // whole records before the cut
-    EXPECT_THROW(TraceBuffer::load(tmp.path), VmError);
+    EXPECT_THROW(loadTrace(tmp.path), VmError);
 }
 
 TEST(TraceIo, LoadRejectsOutOfRangeKindAndPhase)
@@ -245,10 +254,10 @@ TEST(TraceIo, LoadRejectsOutOfRangeKindAndPhase)
     TempFile tmp;
     for (const std::size_t byte : {kKindByte, kPhaseByte}) {
         writeValidTrace(tmp.path, 3);
-        ASSERT_EQ(TraceBuffer::load(tmp.path).size(), 3u);
+        ASSERT_EQ(loadTrace(tmp.path).size(), 3u);
         pokeRecordByte(tmp.path, 1, byte, 0xff);
         const std::string err =
-            vmErrorOf([&] { (void)TraceBuffer::load(tmp.path); });
+            vmErrorOf([&] { (void)loadTrace(tmp.path); });
         EXPECT_EQ(err, std::string("vm: corrupt trace record at event 1: ")
                            + (byte == kKindByte ? "kind" : "phase")
                            + " tag 255 out of range");
