@@ -36,7 +36,7 @@ main(int argc, char **argv)
     Table t({"workload", "mode", "ipc_w1", "ipc_w2", "ipc_w4",
              "ipc_w8", "scaling_w8/w1"});
 
-    obs::PerfReportSet reports;
+    obs::ObsReports reports;
     for (const WorkloadInfo *w : bench::suite(true)) {
         for (const bool jit : {false, true}) {
             std::vector<std::unique_ptr<PipelineSim>> sims;
@@ -60,9 +60,9 @@ main(int argc, char **argv)
                 obs::AttributedPipeline attributed(PipelineConfig{},
                                                    rec.methods);
                 rec.trace->replay(attributed);
-                reports.add(std::string("fig09/") + w->name + "/"
-                                + (jit ? "jit" : "interp"),
-                            attributed.perf());
+                reports.perf.add(std::string("fig09/") + w->name + "/"
+                                     + (jit ? "jit" : "interp"),
+                                 attributed.perf());
             } else {
                 (void)runWorkload(s);
             }
@@ -78,7 +78,7 @@ main(int argc, char **argv)
         }
     }
     t.print(std::cout);
-    cli.writePerf(reports, std::cout);
+    cli.write(reports.perf, cli.perfJson, std::cout);
     cli.finish(std::cout);
     return 0;
 }

@@ -34,7 +34,7 @@ main(int argc, char **argv)
     Table t({"workload", "mode", "w1", "w2", "w4", "w8",
              "cycles_w1"});
 
-    obs::PerfReportSet reports;
+    obs::ObsReports reports;
     for (const WorkloadInfo *w : bench::suite(true)) {
         for (const bool jit : {false, true}) {
             std::vector<std::unique_ptr<PipelineSim>> sims;
@@ -58,9 +58,9 @@ main(int argc, char **argv)
                 obs::AttributedPipeline attributed(PipelineConfig{},
                                                    rec.methods);
                 rec.trace->replay(attributed);
-                reports.add(std::string("fig10/") + w->name + "/"
-                                + (jit ? "jit" : "interp"),
-                            attributed.perf());
+                reports.perf.add(std::string("fig10/") + w->name + "/"
+                                     + (jit ? "jit" : "interp"),
+                                 attributed.perf());
             } else {
                 (void)runWorkload(s);
             }
@@ -77,7 +77,7 @@ main(int argc, char **argv)
         }
     }
     t.print(std::cout);
-    cli.writePerf(reports, std::cout);
+    cli.write(reports.perf, cli.perfJson, std::cout);
     cli.finish(std::cout);
     return 0;
 }

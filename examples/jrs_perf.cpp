@@ -51,6 +51,7 @@
  *   jrs_perf annotate jess --method jess.fire
  */
 #include <cstdlib>
+#include <exception>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -267,7 +268,7 @@ defaultAnnotateTarget(const obs::PerfAttribution &perf)
 } // namespace
 
 int
-main(int argc, char **argv)
+toolMain(int argc, char **argv)
 {
     if (argc < 3)
         usage();
@@ -461,7 +462,7 @@ main(int argc, char **argv)
                               pipe.cycles());
         conserved &= expectEq("sum(cct node events)", nodeEvents,
                               pipe.instructions());
-        cli.writeCct(reports.cct, std::cout);
+        cli.write(reports.cct, cli.cctJson, std::cout, cli.flame);
     }
 
     if (profs.sampler != nullptr) {
@@ -474,7 +475,7 @@ main(int argc, char **argv)
                   << withCommas(sampler.samples()) << " samples (period "
                   << sampler.options().period << ", seed "
                   << sampler.options().seed << ")\n";
-        cli.writeSample(reports.sample, std::cout);
+        cli.write(reports.sample, cli.sampleJson, std::cout);
     }
 
     std::cout << "\nconservation vs model aggregates: "
@@ -482,7 +483,20 @@ main(int argc, char **argv)
 
     if (window != 0 && !cli.traceJson.empty())
         perf.emitCounterTracks(obs::tracer(), w->name);
-    cli.writePerf(reports.perf, std::cout);
+    cli.write(reports.perf, cli.perfJson, std::cout);
     cli.finish(std::cout);
     return conserved ? 0 : 1;
+}
+
+int
+main(int argc, char **argv)
+{
+    try {
+        return toolMain(argc, argv);
+    } catch (const std::exception &e) {
+        // A report file that cannot be written, or a VM fault: report
+        // it rather than terminate.
+        std::cerr << "jrs_perf: " << e.what() << '\n';
+        return 1;
+    }
 }

@@ -51,9 +51,10 @@
  *   jrs_profile db --diff-collector marksweep --flame-diff gc.folded
  */
 #include <cstdlib>
+#include <exception>
 #include <iostream>
-#include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
 
 #include "arch/pipeline/pipeline.h"
@@ -172,7 +173,7 @@ run(Observed &r, const WorkloadInfo *w, const std::string &mode,
 } // namespace
 
 int
-main(int argc, char **argv)
+toolMain(int argc, char **argv)
 {
     if (argc < 2)
         usage();
@@ -232,12 +233,13 @@ main(int argc, char **argv)
 
     cli.setup();
 
-    // One live run feeds the attribution sink and every profiler asked
-    // for: the perf pass, the CCT (also for --flame-diff and
-    // --calibrate) and the sampler (also for --calibrate) all ride one
-    // pipeline, and each must conserve its cycles.
+    // One live run feeds every profiler asked for: the perf pass, the
+    // CCT (also for --flame-diff and --calibrate) and the sampler (also
+    // for --calibrate) all ride one pipeline, and each must conserve
+    // its cycles. The per-phase method tables read the perf pass's
+    // cells; without --perf-json a perf pass fed straight from the
+    // stream (no model) counts them.
     Observed base = prepare(w, mode, gcCli);
-    obs::AttributionSink attr(*base.map);
     obs::PerfOptions popt;
     popt.program = &base.prog;
     obs::Observers profs = cli.observers(*base.map, popt);
@@ -249,11 +251,17 @@ main(int argc, char **argv)
     PipelineSim pipe{PipelineConfig{}};
     profs.attachTo(pipe);
     MultiSink sinks;
-    sinks.add(&attr);
+    std::unique_ptr<obs::PerfAttribution> streamPerf;
+    if (profs.perf == nullptr) {
+        streamPerf = std::make_unique<obs::PerfAttribution>(*base.map);
+        sinks.add(streamPerf.get());
+    }
     if (profs.perf != nullptr || profs.cct != nullptr
         || profs.sampler != nullptr)
         sinks.add(&pipe);
     run(base, w, mode, arg, gcCli, sinks);
+    const obs::PerfAttribution &attr =
+        profs.perf != nullptr ? *profs.perf : *streamPerf;
 
     std::cout << w->name << " --mode " << mode << " --arg " << arg
               << ": exit=" << base.res.exitValue << ", "
@@ -262,7 +270,7 @@ main(int argc, char **argv)
               << base.res.methodsCompiled << " methods compiled\n";
     for (std::size_t p = 0; p < kNumPhases; ++p) {
         const Phase phase = static_cast<Phase>(p);
-        const std::uint64_t events = attr.phaseEvents(phase);
+        const std::uint64_t events = attr.phaseCell(phase).insts;
         if (events == 0)
             continue;
         std::cout << '\n'
@@ -273,17 +281,13 @@ main(int argc, char **argv)
                                      base.res.totalEvents),
                            1)
                   << "% of run)\n";
-        attr.phaseTable(phase, topN).print(std::cout);
+        attr.topTable(phase, topN).print(std::cout);
     }
 
     if (!jsonPath.empty()) {
         // The satellite view: the per-phase tables above, verbatim,
         // as one machine-readable document.
-        std::ofstream f(jsonPath, std::ios::trunc);
-        if (!f) {
-            std::cerr << "error: cannot write " << jsonPath << '\n';
-            return 1;
-        }
+        std::ostringstream f;
         f << "{\n  \"schema\": \"jrs-profile-v1\",\n";
         f << "  \"workload\": \"" << w->name << "\",\n";
         f << "  \"mode\": \"" << jsonEscape(mode) << "\",\n";
@@ -296,7 +300,7 @@ main(int argc, char **argv)
         bool firstPhase = true;
         for (std::size_t p = 0; p < kNumPhases; ++p) {
             const Phase phase = static_cast<Phase>(p);
-            const std::uint64_t events = attr.phaseEvents(phase);
+            const std::uint64_t events = attr.phaseCell(phase).insts;
             if (events == 0)
                 continue;
             if (!firstPhase)
@@ -315,6 +319,7 @@ main(int argc, char **argv)
             f << "    ]}";
         }
         f << "\n  ]\n}\n";
+        obs::writeTextFile(jsonPath, f.str(), "profile JSON");
         std::cout << "\nwrote " << jsonPath << '\n';
     }
 
@@ -325,9 +330,9 @@ main(int argc, char **argv)
 
     if (profs.perf != nullptr) {
         std::cout << '\n';
-        cli.writePerf(reports.perf, std::cout);
+        cli.write(reports.perf, cli.perfJson, std::cout);
     }
-    cli.writeCct(reports.cct, std::cout);
+    cli.write(reports.cct, cli.cctJson, std::cout, cli.flame);
 
     if (diffRequested) {
         obs::GcCli diffGc = gcCli;
@@ -342,8 +347,10 @@ main(int argc, char **argv)
         Observed other = prepare(w, otherMode, diffGc);
         prof::CctPipeline otherCct(PipelineConfig{}, other.map);
         run(other, w, otherMode, arg, diffGc, otherCct);
-        prof::writeFoldedDiff(profs.cct->foldedLines(),
-                              otherCct.cct().foldedLines(), flameDiff);
+        obs::writeTextFile(flameDiff,
+                           prof::foldedDiff(profs.cct->foldedLines(),
+                                            otherCct.cct().foldedLines()),
+                           "folded diff");
         std::cout << "wrote " << flameDiff << " (" << base.label
                   << " vs " << other.label << ")\n";
     }
@@ -362,8 +369,21 @@ main(int argc, char **argv)
                       << rep.value << " shares):\n"
                       << rep.text(topN);
         }
-        cli.writeSample(reports.sample, std::cout);
+        cli.write(reports.sample, cli.sampleJson, std::cout);
     }
     cli.finish(std::cout);
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    try {
+        return toolMain(argc, argv);
+    } catch (const std::exception &e) {
+        // A report file that cannot be written, or a VM fault: report
+        // it rather than terminate.
+        std::cerr << "jrs_profile: " << e.what() << '\n';
+        return 1;
+    }
 }

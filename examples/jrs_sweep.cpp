@@ -47,6 +47,7 @@
  *   jrs_sweep code_cache --jobs 8 --shared-code-cache --compare-serial
  */
 #include <cstdlib>
+#include <exception>
 #include <iostream>
 
 #include "obs/cli.h"
@@ -79,7 +80,7 @@ usage(const char *msg = nullptr)
 } // namespace
 
 int
-main(int argc, char **argv)
+toolMain(int argc, char **argv)
 {
     if (argc < 2)
         usage();
@@ -242,4 +243,17 @@ main(int argc, char **argv)
     cli.finish(std::cout);
     cli.writeReports(reports, std::cout);
     return result.allOk() && comparisonOk ? 0 : 1;
+}
+
+int
+main(int argc, char **argv)
+{
+    try {
+        return toolMain(argc, argv);
+    } catch (const std::exception &e) {
+        // A report file that cannot be written, or a VM fault: report
+        // it rather than terminate.
+        std::cerr << "jrs_sweep: " << e.what() << '\n';
+        return 1;
+    }
 }

@@ -8,6 +8,7 @@
 
 #include "isa/address_map.h"
 #include "isa/trace_io.h"
+#include "obs/perf.h"
 #include "vm/runtime/vm_error.h"
 
 namespace jrs::check {
@@ -225,15 +226,16 @@ checkProfileAttribution(const TraceBuffer &trace, const obs::MethodMap &map,
     if (result.threadsSpawned != 0)
         return "";
 
-    obs::AttributionSink sink(map);
-    trace.replay(sink);
+    // The perf pass fed straight from the stream: no model, just its
+    // per-(method, phase) event counts.
+    obs::PerfAttribution perf(map);
+    trace.replay(perf);
 
     std::map<std::string, std::uint64_t> attributed;
-    for (std::size_t p = 0; p < kNumPhases; ++p) {
-        for (const obs::AttributedMethod &m :
-             sink.top(static_cast<Phase>(p), map.rows() + 2)) {
-            if (m.name != "(unattributed)")
-                attributed[m.name] += m.events;
+    for (std::size_t r = 0; r < map.rows(); ++r) {
+        for (std::size_t p = 0; p < kNumPhases; ++p) {
+            attributed[map.name(static_cast<int>(r))] +=
+                perf.cell(r, static_cast<Phase>(p)).insts;
         }
     }
 
@@ -275,7 +277,7 @@ checkProfileAttribution(const TraceBuffer &trace, const obs::MethodMap &map,
     }
     // Aggregate drift has no boundary excuse: both sides only exclude
     // small startup prefixes (the engine's entry frame setup, the
-    // sink's events before any mapped access).
+    // join's events before any mapped access).
     const std::uint64_t agg_diff = total_attr > total_prof
         ? total_attr - total_prof
         : total_prof - total_attr;

@@ -106,10 +106,10 @@ std::string checkProfileConservation(const RunResult &result);
 inline constexpr std::uint64_t kMaxUnattributedEvents = 8;
 
 /**
- * Join @p trace with @p map through obs::AttributionSink and compare
- * per-method attributed totals against the ProfileTable. The offline
- * join is exact within a step but shifts a few events between
- * adjacent methods at every frame boundary (synchronized-method
+ * Join @p trace with @p map through a model-free obs::PerfAttribution
+ * and compare per-method attributed totals against the ProfileTable.
+ * The offline join is exact within a step but shifts a few events
+ * between adjacent methods at every frame boundary (synchronized-method
  * entry, return delivery, translator prologues), so each method is
  * allowed @p per_method_slack plus an invocation- and size-scaled
  * margin, while the aggregate across all methods must agree tightly.

@@ -1,9 +1,7 @@
 #include "obs/attribution.h"
 
 #include <algorithm>
-#include <map>
 
-#include "support/statistics.h"
 #include "vm/runtime/vm_error.h"
 
 namespace jrs::obs {
@@ -190,75 +188,6 @@ MapView::apply(std::uint64_t at)
     }
     for (MethodMap::Span &sp : spans_)
         sp = MethodMap::Span{};
-}
-
-AttributionSink::AttributionSink(const MethodMap &map)
-    : map_(&map), ctx_(map),
-      counts_((map.rows() + 1) * kNumPhases, 0)
-{
-}
-
-void
-AttributionSink::onEvent(const TraceEvent &ev)
-{
-    const auto p = static_cast<std::size_t>(ev.phase);
-    const int row = ctx_.observe(ev);
-    const std::size_t slot =
-        row >= 0 ? static_cast<std::size_t>(row) : map_->rows();
-    ++counts_[slot * kNumPhases + p];
-    ++phaseTotals_[p];
-    ++total_;
-}
-
-std::uint64_t
-AttributionSink::attributed(Phase phase) const
-{
-    const auto p = static_cast<std::size_t>(phase);
-    return phaseTotals_[p] - counts_[map_->rows() * kNumPhases + p];
-}
-
-std::vector<AttributedMethod>
-AttributionSink::top(Phase phase, std::size_t n) const
-{
-    const auto p = static_cast<std::size_t>(phase);
-    const std::uint64_t phaseTotal = phaseTotals_[p];
-    std::vector<AttributedMethod> rows;
-    for (std::size_t r = 0; r <= map_->rows(); ++r) {
-        const std::uint64_t events = counts_[r * kNumPhases + p];
-        if (events == 0)
-            continue;
-        AttributedMethod am;
-        am.name = r < map_->rows() ? map_->name(static_cast<int>(r))
-                                   : "(unattributed)";
-        am.events = events;
-        am.pct = phaseTotal == 0
-            ? 0.0
-            : 100.0 * static_cast<double>(events)
-                / static_cast<double>(phaseTotal);
-        rows.push_back(std::move(am));
-    }
-    std::sort(rows.begin(), rows.end(),
-              [](const AttributedMethod &a, const AttributedMethod &b) {
-                  if (a.events != b.events)
-                      return a.events > b.events;
-                  return a.name < b.name;
-              });
-    if (rows.size() > n)
-        rows.resize(n);
-    return rows;
-}
-
-Table
-AttributionSink::phaseTable(Phase phase, std::size_t n) const
-{
-    Table t({"#", "method", "events", "share"});
-    const std::vector<AttributedMethod> rows = top(phase, n);
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-        t.addRow({std::to_string(i + 1), rows[i].name,
-                  withCommas(rows[i].events),
-                  fixed(rows[i].pct, 2) + "%"});
-    }
-    return t;
 }
 
 } // namespace jrs::obs

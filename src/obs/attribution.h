@@ -13,7 +13,8 @@
  *  - its generated-code range in seg::kCodeCache (what the native
  *    executor's pc walks and the translator's install stores hit).
  *
- * AttributionSink joins a stream with that map:
+ * MethodContext joins a stream with that map (obs::PerfAttribution
+ * counts what it joins, obs/perf.h):
  *
  *  - NativeExec events attribute by pc range (or to the evicted
  *    method still running there; see MethodMap::Change::Op::Pin);
@@ -31,9 +32,10 @@
  * of a finished run (MethodMap::forRun, for replaying a recording)
  * knows only the code still installed at the end, so a replay under
  * eviction charges evicted code to whatever holds its addresses at
- * the end, or to no method. Events seen before any mapped access land
- * in a "(unattributed)" bucket, and per-phase sums always equal the
- * stream's per-phase totals (conservation; tested in test_obs.cpp).
+ * the end, or to no method. Events seen before any mapped access
+ * resolve to no method (PerfAttribution's "(unattributed)" bucket),
+ * so per-phase sums always equal the stream's per-phase totals
+ * (conservation; tested in test_obs.cpp).
  */
 #ifndef JRS_OBS_ATTRIBUTION_H
 #define JRS_OBS_ATTRIBUTION_H
@@ -44,7 +46,6 @@
 
 #include "isa/address_map.h"
 #include "isa/trace.h"
-#include "support/table.h"
 #include "vm/jit/code_cache.h"
 #include "vm/runtime/class_registry.h"
 
@@ -278,9 +279,8 @@ class MapView {
  * The streaming half of the attribution join: tracks which method is
  * "current" per the phase rules in the file comment and resolves each
  * TraceEvent to a MethodMap row (-1 = unattributed), through a
- * MapView. Shared by AttributionSink (event counting) and
- * PerfAttribution (outcome and CPI-stack folding, obs/perf.h) so both
- * agree on every event. observe() must see every event of the stream,
+ * MapView. PerfAttribution (obs/perf.h) folds each event into the
+ * row it resolves to. observe() must see every event of the stream,
  * in order: the count is the stream position.
  */
 class MethodContext {
@@ -337,53 +337,6 @@ class MethodContext {
     int curInterp_ = -1;     ///< method of the last bytecode fetch
     int curTranslate_ = -1;  ///< method the translator last touched
     int lastRunning_ = -1;   ///< last interp/native attribution
-};
-
-/** One row of an attribution report. */
-struct AttributedMethod {
-    std::string name;
-    std::uint64_t events = 0;
-    /** Share of the phase's total events, in percent. */
-    double pct = 0.0;
-};
-
-/** Offline joining sink; see file comment. */
-class AttributionSink : public TraceSink {
-  public:
-    /** @p map must outlive the sink. */
-    explicit AttributionSink(const MethodMap &map);
-
-    void onEvent(const TraceEvent &ev) override;
-
-    /** Total events observed. */
-    std::uint64_t totalEvents() const { return total_; }
-
-    /** Events observed in @p phase. */
-    std::uint64_t phaseEvents(Phase phase) const {
-        return phaseTotals_[static_cast<std::size_t>(phase)];
-    }
-
-    /** Events in @p phase attributed to a real method. */
-    std::uint64_t attributed(Phase phase) const;
-
-    /**
-     * Top @p n methods of @p phase by event count, descending
-     * (ties broken by name for deterministic output). The
-     * "(unattributed)" bucket is included when it is non-zero.
-     */
-    std::vector<AttributedMethod> top(Phase phase,
-                                      std::size_t n) const;
-
-    /** Render top(phase, n) as a table: rank, method, events, pct. */
-    Table phaseTable(Phase phase, std::size_t n) const;
-
-  private:
-    const MethodMap *map_;
-    MethodContext ctx_;
-    /** Per row (rows() entries + trailing unattributed bucket). */
-    std::vector<std::uint64_t> counts_;  ///< row-major [row][phase]
-    std::uint64_t phaseTotals_[kNumPhases] = {};
-    std::uint64_t total_ = 0;
 };
 
 } // namespace jrs::obs

@@ -25,7 +25,13 @@
  * cli.writeReports(...) when the tool filled an ObsReports) on every
  * exit path after the run started. cli.observers(map) builds the
  * profilers the flags selected; attach them all to one PipelineSim
- * and a single replay feeds every report.
+ * and a single run feeds every report.
+ *
+ * Each profiler's runs collect in one obs::ReportSet (obs/report.h)
+ * named by its schema; ObsCli::write puts a set in the files its flags
+ * named. Every file goes through obs::writeTextFile, so a write that
+ * fails throws VmError naming the path; the tools catch it, print
+ * "<tool>: <message>" and exit 1.
  */
 #ifndef JRS_OBS_CLI_H
 #define JRS_OBS_CLI_H
@@ -39,6 +45,7 @@
 #include "gc/config.h"
 #include "obs/obs.h"
 #include "obs/perf.h"
+#include "obs/report.h"
 #include "prof/cct.h"
 #include "prof/sampler.h"
 #include "vm/jit/code_cache.h"
@@ -48,9 +55,9 @@ namespace jrs::obs {
 
 /** One report set per profiler; sweeps fill them group by group. */
 struct ObsReports {
-    PerfReportSet perf;
-    prof::CctReportSet cct;
-    prof::SampleReportSet sample;
+    ReportSet perf{"jrs-perf-report-v1"};
+    ReportSet cct{"jrs-cct-v1"};
+    ReportSet sample{"jrs-sample-v1"};
 };
 
 /**
@@ -252,41 +259,30 @@ struct ObsCli {
         }
     }
 
-    /** Write @p set to the --perf-json path (no-op when not given). */
-    void writePerf(const PerfReportSet &set, std::ostream &out) const {
-        if (perfJson.empty())
-            return;
-        set.writeJson(perfJson);
-        out << "wrote " << perfJson << '\n';
-    }
-
-    /** Write @p set to the --cct-json/--flame paths requested. */
-    void writeCct(const prof::CctReportSet &set,
-                  std::ostream &out) const {
-        if (!cctJson.empty()) {
-            set.writeJson(cctJson);
-            out << "wrote " << cctJson << '\n';
+    /**
+     * Write @p set's document to @p json and its folded stacks to
+     * @p folded, skipping an empty path and announcing each file on
+     * @p out. Throws VmError when a write fails.
+     */
+    static void write(const ReportSet &set, const std::string &json,
+                      std::ostream &out,
+                      const std::string &folded = {}) {
+        if (!json.empty()) {
+            set.writeJson(json);
+            out << "wrote " << json << '\n';
         }
-        if (!flame.empty()) {
-            set.writeFolded(flame);
-            out << "wrote " << flame << '\n';
+        if (!folded.empty()) {
+            set.writeFolded(folded);
+            out << "wrote " << folded << '\n';
         }
     }
 
-    /** Write @p set to the --sample-json path (no-op when not given). */
-    void writeSample(const prof::SampleReportSet &set,
-                     std::ostream &out) const {
-        if (sampleJson.empty())
-            return;
-        set.writeJson(sampleJson);
-        out << "wrote " << sampleJson << '\n';
-    }
-
-    /** writePerf, writeCct and writeSample, in that order. */
+    /** Every set of @p r to the paths requested: perf, CCT
+     *  (--cct-json, then --flame), sample. */
     void writeReports(const ObsReports &r, std::ostream &out) const {
-        writePerf(r.perf, out);
-        writeCct(r.cct, out);
-        writeSample(r.sample, out);
+        write(r.perf, perfJson, out);
+        write(r.cct, cctJson, out, flame);
+        write(r.sample, sampleJson, out);
     }
 };
 

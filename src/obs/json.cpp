@@ -1,12 +1,34 @@
 #include "obs/json.h"
 
 #include <cctype>
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 
 #include "vm/runtime/vm_error.h"
 
 namespace jrs::obs {
+
+void
+writeTextFile(const std::string &path, const std::string &body,
+              const std::string &what)
+{
+    const auto fail = [&](int err) {
+        throw VmError("cannot write " + what + ": " + path + ": "
+                      + std::strerror(err));
+    };
+    std::FILE *f = std::fopen(path.c_str(), "w");
+    if (f == nullptr)
+        fail(errno);
+    const bool wrote =
+        std::fwrite(body.data(), 1, body.size(), f) == body.size();
+    const int writeErr = errno;
+    if (std::fclose(f) != 0)
+        fail(wrote ? errno : writeErr);
+    if (!wrote)
+        fail(writeErr);
+}
 
 std::string
 jsonEscape(const std::string &s)

@@ -15,6 +15,11 @@
  *    (snprintf honors LC_NUMERIC) would otherwise emit invalid JSON,
  *    so any ',' the formatter produced is normalized back to '.'.
  *
+ * writeTextFile() is the tree's one text-file writer: every JSON
+ * document and folded-stack file goes through it, so a write that
+ * fails (a missing directory, a full disk) throws instead of leaving
+ * a short or empty file behind a zero exit status.
+ *
  * JsonParser is the tree's one JSON reader: a minimal recursive-descent
  * parser covering what the writers above emit — strings, finite
  * numbers, objects, arrays, true/false/null, no \u surrogate pairs. It
@@ -35,6 +40,14 @@ std::string jsonEscape(const std::string &s);
 
 /** See file comment. */
 std::string jsonNumber(double v);
+
+/**
+ * Write @p body to @p path, replacing it. Throws VmError
+ * "cannot write <what>: <path>: <reason>" when the open, the write or
+ * the close fails.
+ */
+void writeTextFile(const std::string &path, const std::string &body,
+                   const std::string &what);
 
 /** See file comment. Throws VmError on malformed input. */
 class JsonParser {

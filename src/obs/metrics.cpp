@@ -1,10 +1,8 @@
 #include "obs/metrics.h"
 
 #include <cmath>
-#include <cstdio>
 
 #include "obs/json.h"
-#include "vm/runtime/vm_error.h"
 
 namespace jrs::obs {
 
@@ -158,14 +156,7 @@ MetricRegistry::toJson() const
 void
 MetricRegistry::writeJson(const std::string &path) const
 {
-    const std::string body = toJson();
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (f == nullptr)
-        throw VmError("cannot write metrics JSON: " + path);
-    const bool ok =
-        std::fwrite(body.data(), 1, body.size(), f) == body.size();
-    if (std::fclose(f) != 0 || !ok)
-        throw VmError("cannot write metrics JSON: " + path);
+    writeTextFile(path, toJson(), "metrics JSON");
 }
 
 void

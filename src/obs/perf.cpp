@@ -1,7 +1,6 @@
 #include "obs/perf.h"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "obs/json.h"
 #include "support/statistics.h"
@@ -56,18 +55,24 @@ cellJson(const PerfCell &c)
         + cpiObject(c.cpi);
 }
 
+std::size_t
+idx(PerfKind k)
+{
+    return static_cast<std::size_t>(k);
+}
+
 std::uint64_t
 dMisses(const PerfCell &c)
 {
-    return c.bad[static_cast<std::size_t>(PerfKind::DCacheLoad)]
-        + c.bad[static_cast<std::size_t>(PerfKind::DCacheStore)];
+    return c.bad[idx(PerfKind::DCacheLoad)]
+        + c.bad[idx(PerfKind::DCacheStore)];
 }
 
 std::uint64_t
 mispredicts(const PerfCell &c)
 {
-    return c.bad[static_cast<std::size_t>(PerfKind::CondBranch)]
-        + c.bad[static_cast<std::size_t>(PerfKind::IndirectTarget)];
+    return c.bad[idx(PerfKind::CondBranch)]
+        + c.bad[idx(PerfKind::IndirectTarget)];
 }
 
 double
@@ -281,44 +286,51 @@ sortedMethodRows(const MethodMap &map,
 
 } // namespace
 
+namespace {
+
+/** The cost columns of the method and phase tables, for @p c. */
+std::vector<std::string>
+costColumns(std::vector<std::string> row, const PerfCell &c)
+{
+    const std::uint64_t dAcc = c.access[idx(PerfKind::DCacheLoad)]
+        + c.access[idx(PerfKind::DCacheStore)];
+    const std::uint64_t pAcc = c.access[idx(PerfKind::CondBranch)]
+        + c.access[idx(PerfKind::IndirectTarget)];
+    row.insert(row.end(),
+               {withCommas(c.insts),
+                withCommas(c.bad[idx(PerfKind::ICacheFetch)]),
+                withCommas(dMisses(c)),
+                fixed(ratePct(dMisses(c), dAcc), 2),
+                withCommas(mispredicts(c)),
+                fixed(ratePct(mispredicts(c), pAcc), 2),
+                withCommas(c.cycles())});
+    for (std::size_t k = 0; k < kNumCpiComponents; ++k)
+        row.push_back(withCommas(c.cpi[k]));
+    return row;
+}
+
+/** Header of costColumns() after the leading @p row columns. */
+std::vector<std::string>
+costHeader(std::vector<std::string> row)
+{
+    row.insert(row.end(),
+               {"insts", "imiss", "dmiss", "dmiss%", "mispred", "mp%",
+                "cycles", "base", "icache", "dcache", "branch",
+                "indirect", "backend"});
+    return row;
+}
+
+} // namespace
+
 Table
 PerfAttribution::methodTable(std::size_t n) const
 {
-    Table t({"#", "method", "insts", "imiss", "dmiss", "dmiss%",
-             "mispred", "mp%", "cycles", "base", "icache", "dcache",
-             "branch", "indirect", "backend"});
+    Table t(costHeader({"#", "method"}));
     const std::vector<MethodRow> rows =
         sortedMethodRows(*map_, views().methods);
     for (std::size_t i = 0; i < rows.size() && i < n; ++i) {
-        const PerfCell &c = *rows[i].cell;
-        const std::uint64_t dAcc =
-            c.access[static_cast<std::size_t>(PerfKind::DCacheLoad)]
-            + c.access[static_cast<std::size_t>(PerfKind::DCacheStore)];
-        const std::uint64_t pAcc =
-            c.access[static_cast<std::size_t>(PerfKind::CondBranch)]
-            + c.access[static_cast<std::size_t>(
-                PerfKind::IndirectTarget)];
-        t.addRow({std::to_string(i + 1), rows[i].name,
-                  withCommas(c.insts), withCommas(
-                      c.bad[static_cast<std::size_t>(
-                          PerfKind::ICacheFetch)]),
-                  withCommas(dMisses(c)),
-                  fixed(ratePct(dMisses(c), dAcc), 2),
-                  withCommas(mispredicts(c)),
-                  fixed(ratePct(mispredicts(c), pAcc), 2),
-                  withCommas(c.cycles()),
-                  withCommas(c.cpi[static_cast<std::size_t>(
-                      CpiComponent::Base)]),
-                  withCommas(c.cpi[static_cast<std::size_t>(
-                      CpiComponent::ICache)]),
-                  withCommas(c.cpi[static_cast<std::size_t>(
-                      CpiComponent::DCache)]),
-                  withCommas(c.cpi[static_cast<std::size_t>(
-                      CpiComponent::BranchMispredict)]),
-                  withCommas(c.cpi[static_cast<std::size_t>(
-                      CpiComponent::IndirectTarget)]),
-                  withCommas(c.cpi[static_cast<std::size_t>(
-                      CpiComponent::Backend)])});
+        t.addRow(costColumns({std::to_string(i + 1), rows[i].name},
+                             *rows[i].cell));
     }
     return t;
 }
@@ -326,41 +338,55 @@ PerfAttribution::methodTable(std::size_t n) const
 Table
 PerfAttribution::phaseTable() const
 {
-    Table t({"phase", "insts", "imiss", "dmiss", "dmiss%", "mispred",
-             "mp%", "cycles", "base", "icache", "dcache", "branch",
-             "indirect", "backend"});
+    Table t(costHeader({"phase"}));
     for (std::size_t p = 0; p < kNumPhases; ++p) {
         const PerfCell &c = views().phases[p];
         if (c.insts == 0 && c.cycles() == 0)
             continue;
-        const std::uint64_t dAcc =
-            c.access[static_cast<std::size_t>(PerfKind::DCacheLoad)]
-            + c.access[static_cast<std::size_t>(PerfKind::DCacheStore)];
-        const std::uint64_t pAcc =
-            c.access[static_cast<std::size_t>(PerfKind::CondBranch)]
-            + c.access[static_cast<std::size_t>(
-                PerfKind::IndirectTarget)];
-        t.addRow({phaseName(static_cast<Phase>(p)),
-                  withCommas(c.insts),
-                  withCommas(c.bad[static_cast<std::size_t>(
-                      PerfKind::ICacheFetch)]),
-                  withCommas(dMisses(c)),
-                  fixed(ratePct(dMisses(c), dAcc), 2),
-                  withCommas(mispredicts(c)),
-                  fixed(ratePct(mispredicts(c), pAcc), 2),
-                  withCommas(c.cycles()),
-                  withCommas(c.cpi[static_cast<std::size_t>(
-                      CpiComponent::Base)]),
-                  withCommas(c.cpi[static_cast<std::size_t>(
-                      CpiComponent::ICache)]),
-                  withCommas(c.cpi[static_cast<std::size_t>(
-                      CpiComponent::DCache)]),
-                  withCommas(c.cpi[static_cast<std::size_t>(
-                      CpiComponent::BranchMispredict)]),
-                  withCommas(c.cpi[static_cast<std::size_t>(
-                      CpiComponent::IndirectTarget)]),
-                  withCommas(c.cpi[static_cast<std::size_t>(
-                      CpiComponent::Backend)])});
+        t.addRow(costColumns({phaseName(static_cast<Phase>(p))}, c));
+    }
+    return t;
+}
+
+std::vector<AttributedMethod>
+PerfAttribution::top(Phase phase, std::size_t n) const
+{
+    const std::uint64_t phaseTotal = phaseCell(phase).insts;
+    std::vector<AttributedMethod> rows;
+    for (std::size_t r = 0; r <= map_->rows(); ++r) {
+        const std::uint64_t events = cell(r, phase).insts;
+        if (events == 0)
+            continue;
+        AttributedMethod am;
+        am.name = r < map_->rows() ? map_->name(static_cast<int>(r))
+                                   : "(unattributed)";
+        am.events = events;
+        am.pct = phaseTotal == 0
+            ? 0.0
+            : 100.0 * static_cast<double>(events)
+                / static_cast<double>(phaseTotal);
+        rows.push_back(std::move(am));
+    }
+    std::sort(rows.begin(), rows.end(),
+              [](const AttributedMethod &a, const AttributedMethod &b) {
+                  if (a.events != b.events)
+                      return a.events > b.events;
+                  return a.name < b.name;
+              });
+    if (rows.size() > n)
+        rows.resize(n);
+    return rows;
+}
+
+Table
+PerfAttribution::topTable(Phase phase, std::size_t n) const
+{
+    Table t({"#", "method", "events", "share"});
+    const std::vector<AttributedMethod> rows = top(phase, n);
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        t.addRow({std::to_string(i + 1), rows[i].name,
+                  withCommas(rows[i].events),
+                  fixed(rows[i].pct, 2) + "%"});
     }
     return t;
 }
@@ -542,67 +568,6 @@ PerfAttribution::emitCounterTracks(SpanTracer &tracer,
             tracer.recordCounter(std::move(cpi));
         }
     }
-}
-
-void
-PerfReportSet::add(const std::string &label,
-                   const PerfAttribution &perf)
-{
-    std::string body = perf.runJson(label);
-    std::lock_guard<std::mutex> lock(mu_);
-    // Re-observing a label overwrites its report: replay is
-    // bit-identical, so a warm re-run (e.g. --compare-serial passes)
-    // must not duplicate entries.
-    for (auto &run : runs_) {
-        if (run.first == label) {
-            run.second = std::move(body);
-            return;
-        }
-    }
-    runs_.emplace_back(label, std::move(body));
-}
-
-std::size_t
-PerfReportSet::size() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return runs_.size();
-}
-
-std::string
-PerfReportSet::toJson() const
-{
-    std::vector<std::pair<std::string, std::string>> runs;
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        runs = runs_;
-    }
-    std::sort(runs.begin(), runs.end(),
-              [](const auto &a, const auto &b) {
-                  return a.first < b.first;
-              });
-    std::string out;
-    out += "{\n  \"schema\": \"jrs-perf-report-v1\",\n";
-    out += "  \"runs\": [\n";
-    for (std::size_t i = 0; i < runs.size(); ++i) {
-        out += runs[i].second;
-        out += i + 1 < runs.size() ? ",\n" : "\n";
-    }
-    out += "  ]\n}\n";
-    return out;
-}
-
-void
-PerfReportSet::writeJson(const std::string &path) const
-{
-    const std::string body = toJson();
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (f == nullptr)
-        throw VmError("cannot write perf JSON: " + path);
-    const bool ok =
-        std::fwrite(body.data(), 1, body.size(), f) == body.size();
-    if (std::fclose(f) != 0 || !ok)
-        throw VmError("cannot write perf JSON: " + path);
 }
 
 } // namespace jrs::obs

@@ -37,9 +37,15 @@
  * counts sum to the model's aggregate stats bit-for-bit, and
  * per-method CPI components sum exactly to PipelineSim::cycles().
  *
- * Reports render as tables (report/annotate views), as one stable
- * JSON document (schema "jrs-perf-report-v1", see DESIGN.md), and as
- * Perfetto counter tracks via SpanTracer::recordCounter.
+ * The cells' event counts are also the hot-method view jrs_profile
+ * prints: top() and topTable() rank a phase's methods by events. Fed
+ * straight from a stream (StreamObserver's model-free onEvent) the
+ * pass needs no model for that view.
+ *
+ * Reports render as tables (report/annotate views), as one run object
+ * of the stable "jrs-perf-report-v1" JSON document (see DESIGN.md; an
+ * obs::ReportSet holds the runs), and as Perfetto counter tracks via
+ * SpanTracer::recordCounter.
  */
 #ifndef JRS_OBS_PERF_H
 #define JRS_OBS_PERF_H
@@ -47,7 +53,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -106,6 +111,14 @@ struct IntervalSample {
     }
 };
 
+/** One row of a per-phase hot-method ranking (PerfAttribution::top). */
+struct AttributedMethod {
+    std::string name;
+    std::uint64_t events = 0;
+    /** Share of the phase's total events, in percent. */
+    double pct = 0.0;
+};
+
 /** Knobs for a PerfAttribution pass. */
 struct PerfOptions {
     /** Timeline window in trace events; 0 disables the timeline. */
@@ -152,8 +165,25 @@ class PerfAttribution : public StreamObserver {
         return views().phases[static_cast<std::size_t>(p)];
     }
 
+    /**
+     * Cell of method @p row in phase @p p (row == map().rows() is
+     * unattributed): the one cell every such step folded into.
+     */
+    const PerfCell &cell(std::size_t row, Phase p) const {
+        return cells_[row * kNumPhases + static_cast<std::size_t>(p)];
+    }
+
     /** One row per non-empty phase, hot-first: mutator vs collector. */
     Table phaseTable() const;
+
+    /**
+     * Top @p n methods of @p phase by events, descending (ties broken
+     * by name). The "(unattributed)" bucket is included when non-zero.
+     */
+    std::vector<AttributedMethod> top(Phase phase, std::size_t n) const;
+
+    /** Render top(phase, n) as a table: rank, method, events, share. */
+    Table topTable(Phase phase, std::size_t n) const;
 
     /** True when a Program was supplied (opcode views available). */
     bool hasOpcodes() const { return opt_.program != nullptr; }
@@ -292,33 +322,6 @@ class AttributedCaches : public CacheSink {
   private:
     std::shared_ptr<const MethodMap> map_;
     PerfAttribution perf_;
-};
-
-/**
- * Thread-safe collection of labeled run reports, rendered as one
- * "jrs-perf-report-v1" document. Runs are sorted by label so the
- * output is stable regardless of which sweep worker finished first.
- */
-class PerfReportSet {
-  public:
-    /**
-     * Snapshot @p perf's report under @p label. Re-adding a label
-     * replaces its snapshot (replay is bit-identical, so re-observing
-     * a stream must not duplicate entries).
-     */
-    void add(const std::string &label, const PerfAttribution &perf);
-
-    std::size_t size() const;
-
-    /** The full document. */
-    std::string toJson() const;
-
-    /** Write toJson() to @p path; throws VmError on I/O failure. */
-    void writeJson(const std::string &path) const;
-
-  private:
-    mutable std::mutex mu_;
-    std::vector<std::pair<std::string, std::string>> runs_;
 };
 
 } // namespace jrs::obs

@@ -5,7 +5,6 @@
 
 #include "obs/clock.h"
 #include "obs/json.h"
-#include "vm/runtime/vm_error.h"
 
 namespace jrs::obs {
 
@@ -125,14 +124,7 @@ SpanTracer::toJson() const
 void
 SpanTracer::writeJson(const std::string &path) const
 {
-    const std::string body = toJson();
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (f == nullptr)
-        throw VmError("cannot write trace JSON: " + path);
-    const bool ok =
-        std::fwrite(body.data(), 1, body.size(), f) == body.size();
-    if (std::fclose(f) != 0 || !ok)
-        throw VmError("cannot write trace JSON: " + path);
+    writeTextFile(path, toJson(), "trace JSON");
 }
 
 void

@@ -24,6 +24,19 @@ frameKindName(FrameKind k)
     return "?";
 }
 
+std::string
+frameName(const Frame &f, const obs::MethodMap *map)
+{
+    if (f.kind == FrameKind::Root || f.kind == FrameKind::Method) {
+        if (f.methodRow >= 0 && map != nullptr)
+            return map->name(f.methodRow);
+        if (f.kind == FrameKind::Root)
+            return "(root)";
+        return "(method#" + std::to_string(f.methodId) + ")";
+    }
+    return f.stubName;
+}
+
 namespace {
 
 /** What a tracker without a map views (it never looks anything up). */
@@ -146,22 +159,6 @@ FrameTracker::pop(const TraceEvent &ev)
     }
     frames_.pop_back();
     return true;
-}
-
-std::string
-FrameTracker::frameName(const Frame &f) const
-{
-    if (f.kind == FrameKind::Root) {
-        if (f.methodRow >= 0 && map_ != nullptr)
-            return map_->name(f.methodRow);
-        return "(root)";
-    }
-    if (f.kind == FrameKind::Method) {
-        if (f.methodRow >= 0 && map_ != nullptr)
-            return map_->name(f.methodRow);
-        return "(method#" + std::to_string(f.methodId) + ")";
-    }
-    return f.stubName;
 }
 
 } // namespace jrs::prof

@@ -82,6 +82,13 @@ struct Frame {
     const char *stubName = nullptr;  ///< non-method display name
 };
 
+/**
+ * Display name of @p f: a Method frame (or the root) by its MethodMap
+ * row once one is resolved, "(method#N)" (or "(root)") before that;
+ * any other frame by its stub name. @p map may be null (no rows).
+ */
+std::string frameName(const Frame &f, const obs::MethodMap *map);
+
 /** Knobs for a tracking pass. */
 struct FrameTrackerOptions {
     /** Deepest stack tracked; deeper pushes become virtual. */
@@ -157,7 +164,9 @@ class FrameTracker {
     const std::vector<Frame> &stack() const { return frames_; }
 
     /** Display name of @p f (lazy naming; see file comment). */
-    std::string frameName(const Frame &f) const;
+    std::string frameName(const Frame &f) const {
+        return prof::frameName(f, map_);
+    }
 
     /** Rets that arrived with only the root on the stack. */
     std::uint64_t unmatchedRets() const { return unmatchedRets_; }

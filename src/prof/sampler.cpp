@@ -2,14 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
 #include <map>
 #include <set>
 #include <sstream>
 
 #include "obs/json.h"
 #include "support/statistics.h"
-#include "vm/runtime/vm_error.h"
 
 namespace jrs::prof {
 
@@ -31,6 +29,20 @@ byShareDesc(std::vector<std::pair<std::string, double>> shares)
     return shares;
 }
 
+/** Per display name, the sum of value(node) over @p tree's nodes
+ *  (names whose sum is 0 are left out). */
+template <class Counts, class ValueFn>
+std::map<std::string, std::uint64_t>
+flatten(const ContextTree<Counts> &tree, ValueFn &&value)
+{
+    std::map<std::string, std::uint64_t> by;
+    for (const auto &n : tree.nodes()) {
+        if (const std::uint64_t v = value(n); v != 0)
+            by[tree.name(n)] += v;
+    }
+    return by;
+}
+
 int
 sign(double v)
 {
@@ -45,12 +57,9 @@ sign(double v)
 
 SamplingProfiler::SamplingProfiler(const obs::MethodMap &map,
                                    Options opt)
-    : map_(&map), opt_(opt),
-      tracker_(&map, FrameTrackerOptions{opt.maxDepth}),
-      prng_(opt.seed)
+    : opt_(opt), tracker_(&map, FrameTrackerOptions{opt.maxDepth}),
+      prng_(opt.seed), tree_(map)
 {
-    nodes_.emplace_back();
-    nodes_[0].kind = FrameKind::Root;
     nextAt_ = jitteredGap(prng_, opt_.period);
 }
 
@@ -77,124 +86,33 @@ SamplingProfiler::step(const Step &s)
     tracker_.finish(ev);
 }
 
-int
-SamplingProfiler::childOf(int parent, const Frame &f)
-{
-    for (const int k : nodes_[parent].kids) {
-        if (nodes_[k].key == f.key) {
-            if (nodes_[k].methodRow < 0)
-                nodes_[k].methodRow = f.methodRow;
-            return k;
-        }
-    }
-    const int id = static_cast<int>(nodes_.size());
-    nodes_.emplace_back();
-    SampleNode &n = nodes_.back();
-    n.key = f.key;
-    n.kind = f.kind;
-    n.parent = parent;
-    n.methodId = f.methodId;
-    n.methodRow = f.methodRow;
-    n.stubName = f.stubName;
-    nodes_[parent].kids.push_back(id);
-    return id;
-}
-
 void
 SamplingProfiler::takeSample(Phase phase, NKind kind)
 {
     const std::vector<Frame> &fr = tracker_.stack();
-    if (nodes_[0].methodRow < 0)
-        nodes_[0].methodRow = fr[0].methodRow;
+    if (tree_[0].methodRow < 0)
+        tree_[0].methodRow = fr[0].methodRow;
     int cur = 0;
     for (std::size_t i = 1; i < fr.size(); ++i)
-        cur = childOf(cur, fr[i]);
-    SampleNode &n = nodes_[cur];
+        cur = tree_.childOf(cur, fr[i]);
+    ContextNode<SampleCounts> &n = tree_[cur];
     ++n.samples;
     ++n.phaseSamples[static_cast<std::size_t>(phase)];
     ++samples_;
     ++kindSamples_[static_cast<std::size_t>(kind)];
 }
 
-std::string
-SamplingProfiler::nodeName(const SampleNode &n) const
-{
-    if (n.kind == FrameKind::Root) {
-        if (n.methodRow >= 0)
-            return map_->name(n.methodRow);
-        return "(root)";
-    }
-    if (n.kind == FrameKind::Method) {
-        if (n.methodRow >= 0)
-            return map_->name(n.methodRow);
-        return "(method#" + std::to_string(n.methodId) + ")";
-    }
-    return n.stubName;
-}
-
-std::vector<int>
-SamplingProfiler::sortedKids(const SampleNode &n) const
-{
-    std::vector<int> kids = n.kids;
-    std::sort(kids.begin(), kids.end(), [this](int a, int b) {
-        const std::string na = nodeName(nodes_[a]);
-        const std::string nb = nodeName(nodes_[b]);
-        if (na != nb)
-            return na < nb;
-        return nodes_[a].key < nodes_[b].key;
-    });
-    return kids;
-}
-
-template <class Fn>
-void
-SamplingProfiler::walk(int n, std::vector<int> &path, Fn &&fn) const
-{
-    path.push_back(n);
-    fn(n, path);
-    for (const int k : sortedKids(nodes_[n]))
-        walk(k, path, fn);
-    path.pop_back();
-}
-
 std::vector<FoldedLine>
 SamplingProfiler::foldedLines() const
 {
-    std::vector<FoldedLine> out;
-    std::vector<int> path;
-    walk(0, path, [&](int n, const std::vector<int> &p) {
-        const SampleNode &node = nodes_[n];
-        std::string prefix;
-        for (std::size_t i = 0; i < p.size(); ++i) {
-            if (i > 0)
-                prefix += ';';
-            prefix += nodeName(nodes_[p[i]]);
-        }
-        for (std::size_t ph = 0; ph < kNumPhases; ++ph) {
-            const std::uint64_t v = node.phaseSamples[ph];
-            if (v == 0)
-                continue;
-            out.push_back({prefix + foldedPhaseSuffix(ph), v});
-        }
+    return tree_.foldedLines([](const auto &n, std::size_t ph) {
+        return n.phaseSamples[ph];
     });
-    return out;
 }
 
 std::string
 SamplingProfiler::runJson(const std::string &label) const
 {
-    // Remap node ids to DFS order (children sorted by name) so the
-    // document is deterministic across runs of the same stream.
-    std::vector<int> order;
-    std::vector<int> newId(nodes_.size(), -1);
-    {
-        std::vector<int> path;
-        walk(0, path, [&](int n, const std::vector<int> &) {
-            newId[n] = static_cast<int>(order.size());
-            order.push_back(n);
-        });
-    }
-
     std::ostringstream os;
     os << "    {\n";
     os << "      \"label\": \"" << jsonEscape(label) << "\",\n";
@@ -204,7 +122,7 @@ SamplingProfiler::runJson(const std::string &label) const
     os << "      \"seed\": " << opt_.seed << ",\n";
     os << "      \"samples\": " << samples_ << ",\n";
     os << "      \"clock_total\": " << clock_ << ",\n";
-    os << "      \"nodes_total\": " << nodes_.size() << ",\n";
+    os << "      \"nodes_total\": " << tree_.nodes().size() << ",\n";
     os << "      \"max_depth\": " << tracker_.maxDepthSeen() << ",\n";
     os << "      \"unmatched_rets\": " << tracker_.unmatchedRets()
        << ",\n";
@@ -220,127 +138,23 @@ SamplingProfiler::runJson(const std::string &label) const
            << "\": " << kindSamples_[k];
     }
     os << "},\n";
-    os << "      \"nodes\": [\n";
-    for (std::size_t i = 0; i < order.size(); ++i) {
-        const SampleNode &n = nodes_[order[i]];
-        os << "        {\"id\": " << i << ", \"parent\": "
-           << (n.parent < 0 ? -1 : newId[n.parent]) << ", \"name\": \""
-           << jsonEscape(nodeName(n)) << "\", \"kind\": \""
-           << frameKindName(n.kind)
-           << "\", \"samples\": " << n.samples << ",\n";
-        os << "         \"phases\": {";
+    tree_.writeNodes(os, [](std::ostream &o, const auto &n) {
+        o << ", \"samples\": " << n.samples << ",\n";
+        o << "         \"phases\": {";
         bool first = true;
         for (std::size_t p = 0; p < kNumPhases; ++p) {
             if (n.phaseSamples[p] == 0)
                 continue;
             if (!first)
-                os << ", ";
+                o << ", ";
             first = false;
-            os << '"' << phaseName(static_cast<Phase>(p))
-               << "\": " << n.phaseSamples[p];
+            o << '"' << phaseName(static_cast<Phase>(p))
+              << "\": " << n.phaseSamples[p];
         }
-        os << "},\n";
-        os << "         \"children\": [";
-        const std::vector<int> kids = sortedKids(n);
-        for (std::size_t k = 0; k < kids.size(); ++k) {
-            if (k > 0)
-                os << ", ";
-            os << newId[kids[k]];
-        }
-        os << "]}";
-        os << (i + 1 < order.size() ? ",\n" : "\n");
-    }
-    os << "      ]\n";
+        o << "},\n";
+    });
     os << "    }";
     return os.str();
-}
-
-void
-SampleReportSet::add(const std::string &label,
-                     const SamplingProfiler &s)
-{
-    Snapshot snap{s.runJson(label), s.foldedLines()};
-    const std::lock_guard<std::mutex> lock(mu_);
-    for (auto &r : runs_) {
-        if (r.first == label) {
-            r.second = std::move(snap);
-            return;
-        }
-    }
-    runs_.emplace_back(label, std::move(snap));
-}
-
-std::size_t
-SampleReportSet::size() const
-{
-    const std::lock_guard<std::mutex> lock(mu_);
-    return runs_.size();
-}
-
-std::string
-SampleReportSet::toJson() const
-{
-    std::vector<std::pair<std::string, Snapshot>> runs;
-    {
-        const std::lock_guard<std::mutex> lock(mu_);
-        runs = runs_;
-    }
-    std::sort(runs.begin(), runs.end(),
-              [](const auto &a, const auto &b) {
-                  return a.first < b.first;
-              });
-    std::string out;
-    out += "{\n  \"schema\": \"jrs-sample-v1\",\n  \"runs\": [\n";
-    for (std::size_t i = 0; i < runs.size(); ++i) {
-        out += runs[i].second.json;
-        out += i + 1 < runs.size() ? ",\n" : "\n";
-    }
-    out += "  ]\n}\n";
-    return out;
-}
-
-void
-SampleReportSet::writeJson(const std::string &path) const
-{
-    std::ofstream f(path, std::ios::trunc);
-    if (!f)
-        throw VmError("cannot write sample report: " + path);
-    f << toJson();
-}
-
-void
-SampleReportSet::writeFolded(const std::string &path) const
-{
-    std::vector<std::pair<std::string, Snapshot>> runs;
-    {
-        const std::lock_guard<std::mutex> lock(mu_);
-        runs = runs_;
-    }
-    std::sort(runs.begin(), runs.end(),
-              [](const auto &a, const auto &b) {
-                  return a.first < b.first;
-              });
-    std::ofstream f(path, std::ios::trunc);
-    if (!f)
-        throw VmError("cannot write folded samples: " + path);
-    for (const auto &[label, snap] : runs) {
-        for (const FoldedLine &l : snap.folded) {
-            if (runs.size() > 1)
-                f << label << ';';
-            f << l.stack << ' ' << l.value << '\n';
-        }
-    }
-}
-
-std::vector<FoldedLine>
-SampleReportSet::folded(const std::string &label) const
-{
-    const std::lock_guard<std::mutex> lock(mu_);
-    for (const auto &[l, snap] : runs_) {
-        if (l == label)
-            return snap.folded;
-    }
-    return {};
 }
 
 double
@@ -404,20 +218,14 @@ calibrate(const CctBuilder &exact, const SamplingProfiler &sampled,
           std::size_t topN)
 {
     const bool cycles = exact.totalCycles() > 0;
-    std::map<std::string, std::uint64_t> exactBy;
+    const auto exactBy = flatten(exact.tree(), [&](const CctNode &n) {
+        return cycles ? n.cycles() : n.events;
+    });
     std::uint64_t exactTotal = 0;
-    for (const CctNode &n : exact.nodes()) {
-        const std::uint64_t v = cycles ? n.cycles() : n.events;
-        if (v == 0)
-            continue;
-        exactBy[exact.nodeName(n)] += v;
+    for (const auto &[name, v] : exactBy)
         exactTotal += v;
-    }
-    std::map<std::string, std::uint64_t> sampledBy;
-    for (const SampleNode &n : sampled.nodes()) {
-        if (n.samples != 0)
-            sampledBy[sampled.nodeName(n)] += n.samples;
-    }
+    const auto sampledBy = flatten(
+        sampled.tree(), [](const auto &n) { return n.samples; });
     const std::uint64_t sampleTotal = sampled.samples();
 
     CalibrationReport rep;

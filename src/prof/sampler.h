@@ -40,17 +40,19 @@
  * topShareOverlap()/shareRankAgreement() are standalone so the
  * metrics are testable on hand-built profiles.
  *
- * Output: one stable "jrs-sample-v1" JSON document (schema in
- * DESIGN.md §11) and folded-flamegraph text via SampleReportSet,
- * same conventions as prof/cct.h.
+ * The sampled tree is a prof::ContextTree (prof/context_tree.h), the
+ * same tree code as the exact profiler's, so both name, order and fold
+ * their contexts identically; a node carries SampleCounts.
+ *
+ * Output: one run object of the stable "jrs-sample-v1" JSON document
+ * (schema in DESIGN.md §11; an obs::ReportSet holds the runs) and
+ * folded-flamegraph text, same conventions as prof/cct.h.
  */
 #ifndef JRS_PROF_SAMPLER_H
 #define JRS_PROF_SAMPLER_H
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
-#include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -60,6 +62,7 @@
 #include "isa/trace.h"
 #include "obs/attribution.h"
 #include "prof/cct.h"
+#include "prof/context_tree.h"
 #include "prof/frame_tracker.h"
 #include "support/random.h"
 
@@ -96,17 +99,10 @@ jitteredGap(XorShift64 &prng, std::uint64_t period)
     return gap == 0 ? 1 : gap;
 }
 
-/** One sampled calling context (same tree conventions as CctNode). */
-struct SampleNode {
-    std::uint64_t key = 0;    ///< identity under parent (kind + id)
-    FrameKind kind = FrameKind::Root;
-    int parent = -1;          ///< node index, -1 for the root
-    std::uint32_t methodId = 0;  ///< Method frames: trampoline id
-    int methodRow = -1;       ///< lazily resolved MethodMap row
-    const char *stubName = nullptr;  ///< non-method display name
+/** What the sampler counts per calling context. */
+struct SampleCounts {
     std::uint64_t samples = 0;  ///< self samples (leaf hits)
     std::uint64_t phaseSamples[kNumPhases] = {};
-    std::vector<int> kids;    ///< child node indices
 };
 
 /** See file comment. */
@@ -120,8 +116,8 @@ class SamplingProfiler : public StreamObserver {
 
     void onSteps(const Step *steps, std::size_t n) override;
 
-    /** All nodes; index 0 is the root. Parent/kids index into this. */
-    const std::vector<SampleNode> &nodes() const { return nodes_; }
+    /** The sampled tree (nodes, naming, output order). */
+    const ContextTree<SampleCounts> &tree() const { return tree_; }
 
     /** Samples taken so far. */
     std::uint64_t samples() const { return samples_; }
@@ -135,13 +131,9 @@ class SamplingProfiler : public StreamObserver {
     }
 
     const Options &options() const { return opt_; }
-    const obs::MethodMap &map() const { return *map_; }
 
     /** The shared shadow stack (counters, depth). */
     const FrameTracker &tracker() const { return tracker_; }
-
-    /** Display name of @p n (same naming rules as CctBuilder). */
-    std::string nodeName(const SampleNode &n) const;
 
     /**
      * Folded-stack lines, one per node x non-empty phase, values are
@@ -159,17 +151,12 @@ class SamplingProfiler : public StreamObserver {
 
   private:
     void step(const Step &s);
-    int childOf(int parent, const Frame &f);
     void takeSample(Phase phase, NKind kind);
-    template <class Fn>
-    void walk(int n, std::vector<int> &path, Fn &&fn) const;
-    std::vector<int> sortedKids(const SampleNode &n) const;
 
-    const obs::MethodMap *map_;
     Options opt_;
     FrameTracker tracker_;
     XorShift64 prng_;
-    std::vector<SampleNode> nodes_;
+    ContextTree<SampleCounts> tree_;
     std::uint64_t clock_ = 0;
     std::uint64_t nextAt_ = 0;  ///< clock value of the next sample
     std::uint64_t samples_ = 0;
@@ -205,40 +192,6 @@ class SamplePipeline : public PipelineSim {
 
     std::shared_ptr<const obs::MethodMap> map_;
     SamplingProfiler sampler_;
-};
-
-/**
- * Thread-safe collection of labeled sampled-profile snapshots,
- * rendered as one "jrs-sample-v1" document and/or one folded-stack
- * file; same conventions as CctReportSet (runs sorted by label,
- * re-adding a label replaces its snapshot).
- */
-class SampleReportSet {
-  public:
-    void add(const std::string &label, const SamplingProfiler &s);
-
-    std::size_t size() const;
-
-    /** The full "jrs-sample-v1" document. */
-    std::string toJson() const;
-
-    /** Write toJson() to @p path; throws VmError on I/O failure. */
-    void writeJson(const std::string &path) const;
-
-    /** Write all runs' folded lines to @p path (label-prefixed when
-     * more than one run, like CctReportSet::writeFolded). */
-    void writeFolded(const std::string &path) const;
-
-    /** Folded lines of run @p label (empty when absent). */
-    std::vector<FoldedLine> folded(const std::string &label) const;
-
-  private:
-    struct Snapshot {
-        std::string json;
-        std::vector<FoldedLine> folded;
-    };
-    mutable std::mutex mu_;
-    std::vector<std::pair<std::string, Snapshot>> runs_;
 };
 
 /** One method's exact-vs-sampled share comparison. */

@@ -207,14 +207,7 @@ SweepResult::toJson() const
 void
 SweepResult::writeJson(const std::string &path) const
 {
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (f == nullptr)
-        throw VmError("cannot write sweep JSON: " + path);
-    const std::string body = toJson();
-    const bool ok =
-        std::fwrite(body.data(), 1, body.size(), f) == body.size();
-    if (std::fclose(f) != 0 || !ok)
-        throw VmError("cannot write sweep JSON: " + path);
+    obs::writeTextFile(path, toJson(), "sweep JSON");
 }
 
 SweepEngine::SweepEngine(SweepOptions options)

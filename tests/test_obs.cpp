@@ -17,6 +17,7 @@
 #include "isa/trace_buffer.h"
 #include "obs/attribution.h"
 #include "obs/obs.h"
+#include "obs/perf.h"
 #include "support/random.h"
 #include "sweep/sweep.h"
 #include "workloads/workload.h"
@@ -252,13 +253,15 @@ TEST(ObsAttribution, ConservesEveryPhaseAndAttributesHotCode)
     const obs::MethodMap map =
         obs::MethodMap::forRun(engine.registry(), engine.codeCache());
     EXPECT_GT(map.rows(), 0u);
-    obs::AttributionSink attr(map);
+    // The perf pass fed straight from the stream (no model) counts
+    // each (method, phase) cell's events.
+    obs::PerfAttribution attr(map);
     buffer.replay(attr);
 
     EXPECT_EQ(attr.totalEvents(), res.totalEvents);
     for (std::size_t p = 0; p < kNumPhases; ++p) {
         const Phase phase = static_cast<Phase>(p);
-        EXPECT_EQ(attr.phaseEvents(phase), res.phaseEvents[p]);
+        EXPECT_EQ(attr.phaseCell(phase).insts, res.phaseEvents[p]);
         // Conservation: the full top list (unattributed bucket
         // included) sums back to the phase total.
         std::uint64_t sum = 0;
@@ -272,10 +275,12 @@ TEST(ObsAttribution, ConservesEveryPhaseAndAttributesHotCode)
     // interpreter step starts with a bytecode fetch and native pcs lie
     // inside installed methods.
     for (const Phase phase : {Phase::Interpret, Phase::NativeExec}) {
-        const std::uint64_t total = attr.phaseEvents(phase);
+        const std::uint64_t total = attr.phaseCell(phase).insts;
         if (total == 0)
             continue;
-        EXPECT_GE(static_cast<double>(attr.attributed(phase)),
+        const std::uint64_t attributed =
+            total - attr.cell(map.rows(), phase).insts;
+        EXPECT_GE(static_cast<double>(attributed),
                   0.99 * static_cast<double>(total))
             << phaseName(phase);
     }

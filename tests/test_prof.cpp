@@ -21,8 +21,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <filesystem>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -38,18 +36,6 @@
 
 namespace jrs {
 namespace {
-
-/** Unique-per-test temp dir, removed at scope exit. */
-struct TempDir {
-    explicit TempDir(const std::string &leaf)
-        : path(std::string(::testing::TempDir()) + leaf)
-    {
-        std::filesystem::remove_all(path);
-        std::filesystem::create_directories(path);
-    }
-    ~TempDir() { std::filesystem::remove_all(path); }
-    std::string path;
-};
 
 std::shared_ptr<CompilationPolicy>
 policyFor(const std::string &mode)
@@ -222,9 +208,9 @@ TEST(Cct, RecursiveCallsChainContexts)
     EXPECT_EQ(cct.nodeName(inner), "(method#4)");
     EXPECT_EQ(outer.calls, 1u);
     EXPECT_EQ(inner.calls, 1u);
-    EXPECT_EQ(cct.maxDepthSeen(), 3u);
-    EXPECT_EQ(cct.unmatchedRets(), 0u);
-    EXPECT_EQ(cct.mismatchedRets(), 0u);
+    EXPECT_EQ(cct.tracker().maxDepthSeen(), 3u);
+    EXPECT_EQ(cct.tracker().unmatchedRets(), 0u);
+    EXPECT_EQ(cct.tracker().mismatchedRets(), 0u);
     // Every event landed in exactly one node.
     EXPECT_EQ(cct.totalEvents(), 7u);
     EXPECT_EQ(cct.nodes()[0].events + outer.events + inner.events, 7u);
@@ -236,13 +222,13 @@ TEST(Cct, UnbalancedRetsAreCountedAndIgnored)
     prof::CctBuilder cct(map);
     // A Ret with only the root open (exception unwind shape).
     cct.onEvent(ev(NKind::Ret, Phase::Interpret));
-    EXPECT_EQ(cct.unmatchedRets(), 1u);
+    EXPECT_EQ(cct.tracker().unmatchedRets(), 1u);
 
     // A guest Ret while a GC frame is open: wrong kind, ignored.
     cct.onEvent(ev(NKind::Call, Phase::Gc, gc::kGcPc, 0x1));
     cct.onEvent(ev(NKind::IntAlu, Phase::Gc));
     cct.onEvent(ev(NKind::Ret, Phase::Interpret));
-    EXPECT_EQ(cct.mismatchedRets(), 1u);
+    EXPECT_EQ(cct.tracker().mismatchedRets(), 1u);
     // The matching Gc Ret still closes the frame.
     cct.onEvent(ev(NKind::Ret, Phase::Gc));
     cct.onEvent(ev(NKind::IntAlu, Phase::Interpret));
@@ -254,7 +240,7 @@ TEST(Cct, UnbalancedRetsAreCountedAndIgnored)
     EXPECT_EQ(sum, 6u);
     // Stack is back at the root: a new Gc bracket nests at depth 2.
     cct.onEvent(ev(NKind::Call, Phase::Gc, gc::kGcPc, 0x1));
-    EXPECT_EQ(cct.maxDepthSeen(), 2u);
+    EXPECT_EQ(cct.tracker().maxDepthSeen(), 2u);
 }
 
 TEST(Cct, TranslateFramesCloseOnInstallRetOnly)
@@ -267,14 +253,14 @@ TEST(Cct, TranslateFramesCloseOnInstallRetOnly)
                    stub::kTransEmit));
     cct.onEvent(ev(NKind::Ret, Phase::Translate, stub::kTransEmit));
     cct.onEvent(ev(NKind::IntAlu, Phase::Translate));
-    EXPECT_EQ(cct.maxDepthSeen(), 2u);
+    EXPECT_EQ(cct.tracker().maxDepthSeen(), 2u);
     const prof::CctNode &trans = cct.nodes()[1];
     EXPECT_EQ(cct.nodeName(trans), "(translate)");
     EXPECT_EQ(trans.events, 2u);
     cct.onEvent(
         ev(NKind::Ret, Phase::Translate, stub::kTransInstallRet));
     cct.onEvent(ev(NKind::IntAlu, Phase::Interpret));
-    EXPECT_EQ(cct.abandonedTranslations(), 0u);
+    EXPECT_EQ(cct.tracker().abandonedTranslations(), 0u);
     EXPECT_EQ(cct.nodes()[0].events, 2u);  // the Call + the IntAlu
 
     // An abandoned compilation (no install return) is closed by the
@@ -282,7 +268,7 @@ TEST(Cct, TranslateFramesCloseOnInstallRetOnly)
     cct.onEvent(ev(NKind::Call, Phase::Translate, stub::kTransDispatch,
                    stub::kTransEmit));
     cct.onEvent(ev(NKind::IntAlu, Phase::Interpret));
-    EXPECT_EQ(cct.abandonedTranslations(), 1u);
+    EXPECT_EQ(cct.tracker().abandonedTranslations(), 1u);
     EXPECT_EQ(cct.totalEvents(), 7u);
 }
 
@@ -299,9 +285,9 @@ TEST(Cct, DepthOverflowSuppressesPushesButConservesEvents)
     cct.onEvent(ev(NKind::IntAlu, Phase::Interpret));
 
     // Only maxDepth-1 frames were materialized; the rest were virtual.
-    EXPECT_EQ(cct.maxDepthSeen(), 3u);
-    EXPECT_EQ(cct.overflowPushes(), 4u);
-    EXPECT_EQ(cct.unmatchedRets(), 0u);
+    EXPECT_EQ(cct.tracker().maxDepthSeen(), 3u);
+    EXPECT_EQ(cct.tracker().overflowPushes(), 4u);
+    EXPECT_EQ(cct.tracker().unmatchedRets(), 0u);
     ASSERT_EQ(cct.nodes().size(), 3u);
     // The suppressed frames' events accrued to the deepest real one.
     EXPECT_EQ(cct.totalEvents(), 14u);
@@ -342,32 +328,6 @@ TEST(Cct, GoldenFoldedFixture)
     // The same tree as difffolded text against a scaled copy.
     const std::string diff = prof::foldedDiff(lines, lines);
     EXPECT_EQ(diff, "main;helper_[i] 3 3\nmain_[i] 3 3\n");
-}
-
-TEST(Cct, ReportSetRendersStableJsonAndFoldedPrefixes)
-{
-    const RecordedRun rec = recordTiny("hello", "jit");
-    prof::CctPipeline sink(PipelineConfig{}, rec.methods);
-    rec.trace->replay(sink);
-
-    prof::CctReportSet reports;
-    reports.add("b-run", sink.cct());
-    reports.add("a-run", sink.cct());
-    reports.add("a-run", sink.cct());  // replace, not duplicate
-    EXPECT_EQ(reports.size(), 2u);
-    const std::string json = reports.toJson();
-    EXPECT_NE(json.find("\"jrs-cct-v1\""), std::string::npos);
-    // Runs sorted by label regardless of add order.
-    EXPECT_LT(json.find("\"a-run\""), json.find("\"b-run\""));
-
-    // Multi-run folded files prefix each stack with its run label.
-    TempDir dir("jrs_prof_folded");
-    const std::string path = dir.path + "/multi.folded";
-    reports.writeFolded(path);
-    std::ifstream f(path);
-    std::string first;
-    ASSERT_TRUE(std::getline(f, first));
-    EXPECT_EQ(first.rfind("a-run;", 0), 0u);
 }
 
 } // namespace

@@ -17,8 +17,9 @@
  *    reproduces the exact profiler's folded output exactly, and
  *    calibration error shrinks as the period does on a synthetic
  *    two-hot-method stream.
- *  - jrs-sample-v1 documents parse back through obs::JsonParser;
- *    report sets sort/replace like the CCT ones.
+ *  - jrs-sample-v1 documents parse back through obs::JsonParser
+ *    (the report set itself is tested for all schemas in
+ *    test_perf.cpp).
  *  - Calibration metrics (top-N overlap, rank agreement) on
  *    hand-built profiles; jittered-gap bounds.
  *  - ObsCli/GcCli error paths exit 2 with a usage message.
@@ -26,8 +27,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <filesystem>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -48,18 +47,6 @@
 
 namespace jrs {
 namespace {
-
-/** Unique-per-test temp dir, removed at scope exit. */
-struct TempDir {
-    explicit TempDir(const std::string &leaf)
-        : path(std::string(::testing::TempDir()) + leaf)
-    {
-        std::filesystem::remove_all(path);
-        std::filesystem::create_directories(path);
-    }
-    ~TempDir() { std::filesystem::remove_all(path); }
-    std::string path;
-};
 
 std::shared_ptr<CompilationPolicy>
 policyFor(const std::string &mode)
@@ -246,9 +233,10 @@ TEST(Sampler, TrackerCountersMatchCctOnSharedReplay)
                 pipe.observe(sampler);
                 rec.trace->replay(pipe);
                 const prof::FrameTracker &t = sampler.tracker();
-                EXPECT_EQ(t.maxDepthSeen(), cct.maxDepthSeen());
-                EXPECT_EQ(t.unmatchedRets(), cct.unmatchedRets());
-                EXPECT_EQ(t.mismatchedRets(), cct.mismatchedRets());
+                const prof::FrameTracker &c = cct.tracker();
+                EXPECT_EQ(t.maxDepthSeen(), c.maxDepthSeen());
+                EXPECT_EQ(t.unmatchedRets(), c.unmatchedRets());
+                EXPECT_EQ(t.mismatchedRets(), c.mismatchedRets());
             }
         }
     }
@@ -422,7 +410,7 @@ TEST(Sampler, JsonRoundTripsThroughParser)
     prof::SamplePipeline sp(PipelineConfig{}, rec.methods);
     rec.trace->replay(sp);
 
-    prof::SampleReportSet reports;
+    obs::ReportSet reports("jrs-sample-v1");
     reports.add("hello/jit", sp.sampler());
     const obs::JsonParser::Value doc =
         obs::JsonParser(reports.toJson(), "jrs-sample-v1").parse();
@@ -447,30 +435,6 @@ TEST(Sampler, JsonRoundTripsThroughParser)
     for (const obs::JsonParser::Value &n : nodes->items)
         sum += static_cast<std::uint64_t>(n.field("samples")->num);
     EXPECT_EQ(sum, sp.sampler().samples());
-}
-
-TEST(Sampler, ReportSetSortsAndReplacesAndPrefixesFolded)
-{
-    const RecordedRun rec = recordTiny("hello", "jit");
-    prof::SamplePipeline sp(PipelineConfig{}, rec.methods);
-    rec.trace->replay(sp);
-
-    prof::SampleReportSet reports;
-    reports.add("b-run", sp.sampler());
-    reports.add("a-run", sp.sampler());
-    reports.add("a-run", sp.sampler());  // replace, not duplicate
-    EXPECT_EQ(reports.size(), 2u);
-    const std::string json = reports.toJson();
-    EXPECT_NE(json.find("\"jrs-sample-v1\""), std::string::npos);
-    EXPECT_LT(json.find("\"a-run\""), json.find("\"b-run\""));
-
-    TempDir dir("jrs_sample_folded");
-    const std::string path = dir.path + "/multi.folded";
-    reports.writeFolded(path);
-    std::ifstream f(path);
-    std::string first;
-    ASSERT_TRUE(std::getline(f, first));
-    EXPECT_EQ(first.rfind("a-run;", 0), 0u);
 }
 
 TEST(Calibration, TopShareOverlapHandBuilt)
