@@ -20,34 +20,11 @@
 
 using namespace jrs;
 
-int
-main(int argc, char **argv)
+namespace {
+
+void
+render(const sweep::SweepResult &result)
 {
-    const bench::SweepBenchArgs args =
-        bench::parseSweepBenchArgs(argc, argv);
-    bench::setupObs(args);
-
-    bench::header(
-        "Ablation — code-cache capacity x eviction policy",
-        "retranslation overhead as Translate-phase share of the "
-        "stream; jit mode, unlimited baseline per workload");
-
-    sweep::SweepOptions opts;
-    opts.jobs = args.jobs;
-    obs::ObsReports reports;
-    sweep::attachObservers(opts, args.obs, reports);
-    sweep::SweepEngine engine(opts);
-    const sweep::SweepResult result =
-        engine.run(sweep::buildCodeCacheGrid());
-    if (!result.allOk()) {
-        for (const sweep::PointResult &p : result.points) {
-            if (!p.ok)
-                std::cerr << p.label << ": " << p.error << '\n';
-        }
-        bench::finishObs(args, reports);
-        return 1;
-    }
-
     Table t({"workload", "policy", "capacity", "events",
              "translate%", "interp%", "native%", "overhead%"});
     for (const WorkloadInfo *w : bench::suite()) {
@@ -77,12 +54,17 @@ main(int argc, char **argv)
         }
     }
     t.print(std::cout);
-    std::cout << "sweep: " << fixed(result.wallSeconds, 2) << "s, "
-              << result.jobs << " jobs, "
-              << result.traces.recordings << " recordings\n";
+}
 
-    if (!args.json.empty())
-        result.writeJson(args.json);
-    bench::finishObs(args, reports);
-    return 0;
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return bench::sweepMain(
+        argc, argv,
+        {"Ablation — code-cache capacity x eviction policy",
+         "retranslation overhead as Translate-phase share of the "
+         "stream; jit mode, unlimited baseline per workload",
+         sweep::buildCodeCacheGrid(), render});
 }

@@ -8,6 +8,8 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <exception>
+#include <functional>
 #include <iostream>
 #include <string>
 #include <utility>
@@ -22,6 +24,7 @@
 #include "support/statistics.h"
 #include "support/table.h"
 #include "sweep/observers.h"
+#include "sweep/serial_reference.h"
 #include "vm/runtime/vm_error.h"
 
 namespace jrs::bench {
@@ -76,61 +79,16 @@ header(const char *experiment, const char *paper_note)
                  "===========================\n";
 }
 
-/** Command-line options shared by the sweep-engine bench ports. */
-struct SweepBenchArgs {
-    unsigned jobs = 0;        ///< 0 = hardware concurrency
-    std::string json;         ///< --json: write the SweepResult
-    bool compareSerial = false;  ///< --compare-serial
-    obs::ObsCli obs;          ///< --metrics/trace/perf-json (obs/cli.h)
-};
-
-/** Parse the flags above; exits with usage on unknown arguments. */
-inline SweepBenchArgs
-parseSweepBenchArgs(int argc, char **argv)
-{
-    SweepBenchArgs out;
-    for (int i = 1; i < argc; ++i) {
-        const std::string a = argv[i];
-        auto next = [&]() -> std::string {
-            if (i + 1 >= argc) {
-                std::cerr << "error: " << a << " needs a value\n";
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        if (a == "--jobs") {
-            const std::string v = next();
-            char *end = nullptr;
-            out.jobs = static_cast<unsigned>(
-                std::strtoul(v.c_str(), &end, 10));
-            if (end == v.c_str() || *end != '\0') {
-                std::cerr << "error: --jobs expects a number\n";
-                std::exit(2);
-            }
-        } else if (a == "--json") {
-            out.json = next();
-        } else if (a == "--compare-serial") {
-            out.compareSerial = true;
-        } else if (out.obs.tryParse(a, next)) {
-            continue;
-        } else {
-            std::cerr << "usage: " << argv[0]
-                      << " [--jobs N] [--json FILE]"
-                         " [--compare-serial]"
-                      << obs::ObsCli::usageText() << '\n';
-            std::exit(2);
-        }
-    }
-    return out;
-}
-
 /**
- * Parse a bench command line that takes only the observability output
- * flags (benches that run live, off the sweep engine); exits with
- * usage on anything else.
+ * Parse a bench command line: the observability output flags, plus
+ * whatever @p extra consumes (called as extra(arg, next), true when it
+ * took the flag); exits with usage, naming @p extra_usage, on anything
+ * else.
  */
-inline obs::ObsCli
-parseObsArgs(int argc, char **argv)
+template <class ExtraFn>
+obs::ObsCli
+parseBenchArgs(int argc, char **argv, const char *extra_usage,
+               ExtraFn &&extra)
 {
     obs::ObsCli cli;
     for (int i = 1; i < argc; ++i) {
@@ -142,8 +100,8 @@ parseObsArgs(int argc, char **argv)
             }
             return argv[++i];
         };
-        if (!cli.tryParse(a, next)) {
-            std::cerr << "usage: " << argv[0]
+        if (!extra(a, next) && !cli.tryParse(a, next)) {
+            std::cerr << "usage: " << argv[0] << extra_usage
                       << obs::ObsCli::usageText() << '\n';
             std::exit(2);
         }
@@ -151,24 +109,117 @@ parseObsArgs(int argc, char **argv)
     return cli;
 }
 
-/** Enable observability when an output file was requested. */
-inline void
-setupObs(const SweepBenchArgs &args)
+/**
+ * Parse a bench command line that takes only the observability output
+ * flags (benches that run live, off the sweep engine).
+ */
+inline obs::ObsCli
+parseObsArgs(int argc, char **argv)
 {
-    args.obs.setup();
+    return parseBenchArgs(argc, argv, "",
+                          [](const std::string &, auto &) {
+                              return false;
+                          });
 }
 
 /**
- * Write the requested observability files. Call on every exit path
- * after the sweep ran (including early failure returns, so a partial
- * run still leaves its metrics behind for diagnosis). @p reports is
- * what sweep::attachObservers collected.
+ * Run a bench's @p body; an exception that escapes it (a report file
+ * that cannot be written, a VM fault) prints "<bench>: <message>" and
+ * exits 1 rather than terminate.
  */
-inline void
-finishObs(const SweepBenchArgs &args, const obs::ObsReports &reports)
+template <class Body>
+int
+guardedMain(const char *argv0, Body &&body)
 {
-    args.obs.finish(std::cout);
-    args.obs.writeReports(reports, std::cout);
+    try {
+        return body();
+    } catch (const std::exception &e) {
+        const std::string path = argv0;
+        std::cerr << path.substr(path.find_last_of('/') + 1) << ": "
+                  << e.what() << '\n';
+        return 1;
+    }
+}
+
+/** What a sweep bench hands sweepMain: everything but the driver. */
+struct SweepBench {
+    const char *title;      ///< header line
+    const char *paperNote;  ///< the paper's claim, under the title
+    std::vector<sweep::SweepPoint> grid;
+    /** Print the figure from the finished, all-ok result. */
+    std::function<void(const sweep::SweepResult &)> render;
+};
+
+/**
+ * The one driver of the sweep benches. Flags: `--jobs N` (0 =
+ * hardware concurrency), `--json FILE` (the SweepResult),
+ * `--compare-serial` and the ObsCli flags (obs/cli.h); anything else
+ * exits 2 with usage. Prints the header, sweeps the grid with the
+ * requested profilers riding each group (sweep/observers.h), and then
+ * either lists the failed points (exit 1) or renders the figure and a
+ * "sweep: ..." footer and writes the JSON. `--compare-serial` then
+ * holds the result to the serial reference (sweep/serial_reference.h)
+ * and exits 1 on any difference. Observability files are written on
+ * every path after the sweep; errors exit 1 through guardedMain.
+ */
+inline int
+sweepMain(int argc, char **argv, const SweepBench &bench)
+{
+    return guardedMain(argv[0], [&] {
+        sweep::SweepOptions opts;
+        std::string json;
+        bool compareSerial = false;
+        const obs::ObsCli cli = parseBenchArgs(
+            argc, argv, " [--jobs N] [--json FILE] [--compare-serial]",
+            [&](const std::string &a, auto &next) {
+                if (a == "--jobs") {
+                    const std::string v = next();
+                    char *end = nullptr;
+                    opts.jobs = static_cast<unsigned>(
+                        std::strtoul(v.c_str(), &end, 10));
+                    if (end == v.c_str() || *end != '\0') {
+                        std::cerr << "error: --jobs expects a number\n";
+                        std::exit(2);
+                    }
+                } else if (a == "--json") {
+                    json = next();
+                } else if (a == "--compare-serial") {
+                    compareSerial = true;
+                } else {
+                    return false;
+                }
+                return true;
+            });
+        cli.setup();
+        header(bench.title, bench.paperNote);
+
+        obs::ObsReports reports;
+        sweep::attachObservers(opts, cli, reports);
+        const sweep::SweepResult result =
+            sweep::SweepEngine(opts).run(bench.grid);
+        bool ok = result.allOk();
+        if (!ok) {
+            for (const sweep::PointResult &p : result.points) {
+                if (!p.ok)
+                    std::cerr << p.label << ": " << p.error << '\n';
+            }
+        } else {
+            bench.render(result);
+            std::cout << "sweep: " << fixed(result.wallSeconds, 2)
+                      << "s, " << result.jobs << " jobs, "
+                      << result.traces.recordings << " VM runs\n";
+            if (!json.empty())
+                result.writeJson(json);
+            if (compareSerial) {
+                std::cout << '\n';
+                ok = sweep::compareSerial(bench.grid, result, std::cout,
+                                          std::cerr);
+            }
+        }
+        cli.finish(std::cout);
+        cli.writeReports(reports, std::cout);
+        return ok ? 0 : 1;
+    });
 }
 
 } // namespace jrs::bench

@@ -17,34 +17,11 @@
 
 using namespace jrs;
 
-int
-main(int argc, char **argv)
+namespace {
+
+void
+render(const sweep::SweepResult &result)
 {
-    const bench::SweepBenchArgs args =
-        bench::parseSweepBenchArgs(argc, argv);
-    bench::setupObs(args);
-
-    bench::header(
-        "Figure 4 — average miss rates vs C/C++ reference",
-        "interp < C/C++ on both; JIT I-cache ~ C/C++, JIT D-cache "
-        "worst of all families");
-
-    sweep::SweepOptions opts;
-    opts.jobs = args.jobs;
-    obs::ObsReports reports;
-    sweep::attachObservers(opts, args.obs, reports);
-    sweep::SweepEngine engine(opts);
-    const sweep::SweepResult result =
-        engine.run(sweep::buildFig04Grid());
-    if (!result.allOk()) {
-        for (const sweep::PointResult &p : result.points) {
-            if (!p.ok)
-                std::cerr << p.label << ": " << p.error << '\n';
-        }
-        bench::finishObs(args, reports);
-        return 1;
-    }
-
     double i_sum[2] = {}, d_sum[2] = {};
     int n = 0;
     for (const WorkloadInfo *w : bench::suite()) {
@@ -67,12 +44,17 @@ main(int argc, char **argv)
                   fixed(ref.dcachePct, 2), "paper (plot read)"});
     }
     t.print(std::cout);
-    std::cout << "sweep: " << fixed(result.wallSeconds, 2) << "s, "
-              << result.jobs << " jobs, "
-              << result.traces.recordings << " recordings\n";
+}
 
-    if (!args.json.empty())
-        result.writeJson(args.json);
-    bench::finishObs(args, reports);
-    return 0;
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return bench::sweepMain(
+        argc, argv,
+        {"Figure 4 — average miss rates vs C/C++ reference",
+         "interp < C/C++ on both; JIT I-cache ~ C/C++, JIT D-cache "
+         "worst of all families",
+         sweep::buildFig04Grid(), render});
 }

@@ -12,11 +12,11 @@
  * stream feeds, live, an attributed split L1 whose IntervalTimeline
  * (obs/perf.h) provides the windowed sampling. The window is sized to
  * ~40 samples of the stream, so each point first counts its stream
- * with an unobserved VM run. `--compare-serial` also runs the
- * original hand-rolled TimeSeriesCacheSink on a live VM run and
- * asserts both paths produce bit-identical curves.
+ * with an unobserved VM run. `--compare-serial` checks both points'
+ * events and curve totals against the serial reference
+ * (sweep/serial_reference.h); Perf.TimelineMatchesTimeSeriesCacheSink
+ * holds the windowed curves to the hand-rolled TimeSeriesCacheSink.
  */
-#include "arch/cache/time_series.h"
 #include "bench_util.h"
 
 using namespace jrs;
@@ -104,103 +104,20 @@ printSeries(const char *mode, const Curve &curve)
     t.print(std::cout);
 }
 
-/** The original implementation: live runs through the hand-rolled
-    windowed sampler, with a dry run to size the windows. */
-std::pair<TimeSeriesCacheSink, TimeSeriesCacheSink>
-runLegacyBaseline(const WorkloadInfo &db)
-{
-    const ModePair sizes = runBothModes(db, 0, nullptr, nullptr);
-    std::pair<TimeSeriesCacheSink, TimeSeriesCacheSink> out{
-        TimeSeriesCacheSink(
-            kIcfg, kDcfg,
-            std::max<std::uint64_t>(
-                1, sizes.interp.totalEvents / kTargetWindows)),
-        TimeSeriesCacheSink(
-            kIcfg, kDcfg,
-            std::max<std::uint64_t>(
-                1, sizes.jit.totalEvents / kTargetWindows))};
-    (void)runBothModes(db, 0, &out.first, &out.second);
-    return out;
-}
-
-/** Bit-identical curve comparison between the two implementations. */
-bool
-identical(const TimeSeriesCacheSink &legacy, const Curve &curve)
-{
-    if (legacy.windowEvents() != curve.window
-        || legacy.samples().size() != curve.samples.size()) {
-        return false;
-    }
-    for (std::size_t i = 0; i < curve.samples.size(); ++i) {
-        const MissSample &a = legacy.samples()[i];
-        const obs::IntervalSample &b = curve.samples[i];
-        if (a.iMisses
-                != b.bad[static_cast<std::size_t>(
-                    PerfKind::ICacheFetch)]
-            || a.dMisses != dMisses(b)
-            || a.dWriteMisses
-                != b.bad[static_cast<std::size_t>(
-                    PerfKind::DCacheStore)]
-            || a.translateEvents != b.translateEvents) {
-            return false;
-        }
-    }
-    return true;
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    const bench::SweepBenchArgs args =
-        bench::parseSweepBenchArgs(argc, argv);
-    bench::setupObs(args);
-
-    bench::header(
-        "Figure 6 — db miss-rate timeline, interp vs JIT",
-        "interp: initial spike, then flat; JIT: clustered translation "
-        "spikes of write misses");
-
     Curve interp, jit;
-    sweep::SweepOptions opts;
-    opts.jobs = args.jobs;
-    obs::ObsReports reports;
-    sweep::attachObservers(opts, args.obs, reports);
-    sweep::SweepEngine engine(opts);
-    const sweep::SweepResult result = engine.run(
-        {timelinePoint(false, &interp), timelinePoint(true, &jit)});
-    if (!result.allOk()) {
-        for (const sweep::PointResult &p : result.points) {
-            if (!p.ok)
-                std::cerr << p.label << ": " << p.error << '\n';
-        }
-        bench::finishObs(args, reports);
-        return 1;
-    }
-
-    printSeries("interpreter", interp);
-    printSeries("jit", jit);
-    std::cout << "sweep: " << fixed(result.wallSeconds, 2) << "s, "
-              << result.jobs << " jobs, "
-              << result.traces.recordings << " recordings\n";
-
-    if (!args.json.empty())
-        result.writeJson(args.json);
-
-    if (args.compareSerial) {
-        const WorkloadInfo *db = findWorkload("db");
-        const auto legacy = runLegacyBaseline(*db);
-        const bool same = identical(legacy.first, interp)
-            && identical(legacy.second, jit);
-        std::cout << "\nlegacy TimeSeriesCacheSink curves "
-                     "bit-identical: "
-                  << (same ? "yes" : "NO") << '\n';
-        if (!same) {
-            bench::finishObs(args, reports);
-            return 1;
-        }
-    }
-    bench::finishObs(args, reports);
-    return 0;
+    return bench::sweepMain(
+        argc, argv,
+        {"Figure 6 — db miss-rate timeline, interp vs JIT",
+         "interp: initial spike, then flat; JIT: clustered translation "
+         "spikes of write misses",
+         {timelinePoint(false, &interp), timelinePoint(true, &jit)},
+         [&](const sweep::SweepResult &) {
+             printSeries("interpreter", interp);
+             printSeries("jit", jit);
+         }});
 }

@@ -9,19 +9,22 @@
  * but its scaling flattens at wide issue because fetch re-serializes
  * on the poorly-predicted dispatch indirect jump once per bytecode.
  *
- * `--perf-json FILE` additionally records each run's stream and
- * replays it through a perf-attribution pipeline (default config,
- * issue width 4), writing per-method CPI stacks per (workload, mode).
- * Without the flag the bench runs exactly as before — live, no
- * recording, no observers.
+ * `--perf-json FILE` additionally feeds each run, live, to a
+ * perf-attribution pipeline (default config, issue width 4) that names
+ * methods through a map following the run, and writes per-method CPI
+ * stacks per (workload, mode). Without the flag no observer rides the
+ * run. A report that cannot be written exits 1 with
+ * "fig09_ipc: <message>".
  */
 #include "arch/pipeline/pipeline.h"
 #include "bench_util.h"
 
 using namespace jrs;
 
+namespace {
+
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     const obs::ObsCli cli = bench::parseObsArgs(argc, argv);
     cli.setup();
@@ -55,17 +58,21 @@ main(int argc, char **argv)
                 : std::static_pointer_cast<CompilationPolicy>(
                       std::make_shared<NeverCompilePolicy>());
             s.sink = &multi;
+            std::unique_ptr<obs::AttributedPipeline> attributed;
+            AttachFn attach;
             if (cli.perfRequested()) {
-                const RecordedRun rec = recordWorkload(s);
-                obs::AttributedPipeline attributed(PipelineConfig{},
-                                                   rec.methods);
-                rec.trace->replay(attributed);
+                attach = [&](const std::shared_ptr<const obs::MethodMap>
+                                 &map) -> TraceSink * {
+                    attributed = std::make_unique<obs::AttributedPipeline>(
+                        PipelineConfig{}, map);
+                    return attributed.get();
+                };
+            }
+            (void)runWorkload(s, attach);
+            if (attributed != nullptr)
                 reports.perf.add(std::string("fig09/") + w->name + "/"
                                      + (jit ? "jit" : "interp"),
-                                 attributed.perf());
-            } else {
-                (void)runWorkload(s);
-            }
+                                 attributed->perf());
             t.addRow({
                 w->name,
                 jit ? "jit" : "interp",
@@ -81,4 +88,12 @@ main(int argc, char **argv)
     cli.write(reports.perf, cli.perfJson, std::cout);
     cli.finish(std::cout);
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return bench::guardedMain(argv[0], [&] { return run(argc, argv); });
 }

@@ -8,18 +8,22 @@
  * reproduce: JIT-mode normalized time keeps improving at wide issue
  * for most programs, while interpreter-mode curves level off.
  *
- * `--perf-json FILE` additionally records each run's stream and
- * replays it through a perf-attribution pipeline (default config),
- * writing per-method CPI stacks per (workload, mode); without the
- * flag the bench runs exactly as before.
+ * `--perf-json FILE` additionally feeds each run, live, to a
+ * perf-attribution pipeline (default config) that names methods
+ * through a map following the run, and writes per-method CPI stacks
+ * per (workload, mode); without the flag no observer rides the run.
+ * A report that cannot be written exits 1 with
+ * "fig10_issue_width: <message>".
  */
 #include "arch/pipeline/pipeline.h"
 #include "bench_util.h"
 
 using namespace jrs;
 
+namespace {
+
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     const obs::ObsCli cli = bench::parseObsArgs(argc, argv);
     cli.setup();
@@ -53,17 +57,21 @@ main(int argc, char **argv)
                 : std::static_pointer_cast<CompilationPolicy>(
                       std::make_shared<NeverCompilePolicy>());
             s.sink = &multi;
+            std::unique_ptr<obs::AttributedPipeline> attributed;
+            AttachFn attach;
             if (cli.perfRequested()) {
-                const RecordedRun rec = recordWorkload(s);
-                obs::AttributedPipeline attributed(PipelineConfig{},
-                                                   rec.methods);
-                rec.trace->replay(attributed);
+                attach = [&](const std::shared_ptr<const obs::MethodMap>
+                                 &map) -> TraceSink * {
+                    attributed = std::make_unique<obs::AttributedPipeline>(
+                        PipelineConfig{}, map);
+                    return attributed.get();
+                };
+            }
+            (void)runWorkload(s, attach);
+            if (attributed != nullptr)
                 reports.perf.add(std::string("fig10/") + w->name + "/"
                                      + (jit ? "jit" : "interp"),
-                                 attributed.perf());
-            } else {
-                (void)runWorkload(s);
-            }
+                                 attributed->perf());
             const double base = static_cast<double>(sims[0]->cycles());
             t.addRow({
                 w->name,
@@ -80,4 +88,12 @@ main(int argc, char **argv)
     cli.write(reports.perf, cli.perfJson, std::cout);
     cli.finish(std::cout);
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return bench::guardedMain(argv[0], [&] { return run(argc, argv); });
 }

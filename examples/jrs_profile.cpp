@@ -323,7 +323,7 @@ toolMain(int argc, char **argv)
         std::cout << "\nwrote " << jsonPath << '\n';
     }
 
-    if (!profs.conserves(pipe.cycles(), std::cerr))
+    if (!profs.conserves(pipe, std::cerr))
         return 1;
     obs::ObsReports reports;
     profs.addTo(reports, base.label);

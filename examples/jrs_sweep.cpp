@@ -34,10 +34,11 @@
  *                      streams and metrics are bit-identical to
  *                      private translation, only host-side translate
  *                      work is saved
- *   --compare-serial   after the sweep, re-run the grid serially
- *                      (jobs=1, private translation) and fail unless
- *                      every point's events and metrics match
- *                      bit-for-bit
+ *   --compare-serial   after the sweep, measure the grid on the serial
+ *                      reference (one live VM run per stream key,
+ *                      private translation; sweep/serial_reference.h)
+ *                      and fail unless every point's events and
+ *                      metrics match bit-for-bit
  *
  * Examples:
  *   jrs_sweep fig07 --jobs 8 --progress
@@ -55,6 +56,7 @@
 #include "support/statistics.h"
 #include "sweep/grids.h"
 #include "sweep/observers.h"
+#include "sweep/serial_reference.h"
 
 using namespace jrs;
 
@@ -143,7 +145,7 @@ toolMain(int argc, char **argv)
             std::cerr << '\r' << p.pointsDone << '/' << p.pointsTotal
                       << " points (groups " << p.groupsDone << '/'
                       << p.groupsTotal << ", " << p.traces.recordings
-                      << " rec)" << std::flush;
+                      << " VM runs)" << std::flush;
             if (p.groupsDone == p.groupsTotal)
                 std::cerr << '\n';
         };
@@ -178,7 +180,7 @@ toolMain(int argc, char **argv)
     std::cout << grid->name << ": " << result.points.size()
               << " points in " << fixed(result.wallSeconds, 2)
               << "s on " << result.jobs << " jobs ("
-              << result.traces.recordings << " recordings)\n";
+              << result.traces.recordings << " VM runs)\n";
     if (result.sharedCacheUsed) {
         std::cout << "shared code cache: "
                   << result.shared.sharedHits << " hits, "
@@ -188,54 +190,8 @@ toolMain(int argc, char **argv)
                   << withCommas(result.shared.buildNsSaved) << " ns\n";
     }
 
-    bool comparisonOk = true;
-    if (compareSerial) {
-        // Reference run: one worker and private translation. Any
-        // difference from the sweep above is a determinism bug.
-        sweep::SweepOptions serialOpts;
-        serialOpts.jobs = 1;
-        sweep::SweepEngine serialEngine(serialOpts);
-        const sweep::SweepResult serial = serialEngine.run(points);
-        std::size_t mismatches = 0;
-        for (std::size_t i = 0; i < result.points.size(); ++i) {
-            const sweep::PointResult &a = result.points[i];
-            const sweep::PointResult &b = serial.points[i];
-            std::string why;
-            if (a.ok != b.ok) {
-                why = "ok flag differs";
-            } else if (a.traceEvents != b.traceEvents) {
-                why = "trace events differ: "
-                    + std::to_string(a.traceEvents) + " vs "
-                    + std::to_string(b.traceEvents);
-            } else if (a.metrics.size() != b.metrics.size()) {
-                why = "metric count differs";
-            } else {
-                for (std::size_t m = 0; m < a.metrics.size(); ++m) {
-                    if (a.metrics[m].name != b.metrics[m].name
-                        || a.metrics[m].value != b.metrics[m].value) {
-                        why = "metric " + a.metrics[m].name
-                            + " differs";
-                        break;
-                    }
-                }
-            }
-            if (!why.empty()) {
-                ++mismatches;
-                if (mismatches <= 10)
-                    std::cerr << "MISMATCH " << a.label << ": " << why
-                              << '\n';
-            }
-        }
-        comparisonOk = mismatches == 0;
-        std::cout << "compare-serial: "
-                  << (comparisonOk
-                          ? "all " + std::to_string(
-                                result.points.size())
-                              + " points bit-identical"
-                          : std::to_string(mismatches)
-                              + " points MISMATCHED")
-                  << '\n';
-    }
+    const bool comparisonOk = !compareSerial
+        || sweep::compareSerial(points, result, std::cout, std::cerr);
     if (!jsonPath.empty()) {
         result.writeJson(jsonPath);
         std::cout << "wrote " << jsonPath << '\n';

@@ -90,25 +90,42 @@ struct Observers {
     }
 
     /**
-     * Conservation against the pipeline they rode: perf totals, CCT
-     * cycles and the sampler's cycle clock must each equal @p cycles.
-     * Prints every mismatch to @p err; true when all hold.
+     * Conservation against the pipeline they rode: the perf totals'
+     * cycles, the CCT's events and cycles (both its totals and the
+     * sums over its nodes) and the sampler's cycle clock must each
+     * equal @p pipe's. Prints every mismatch to @p err; true when all
+     * hold.
      */
-    bool conserves(std::uint64_t cycles, std::ostream &err) const {
+    bool conserves(const PipelineSim &pipe, std::ostream &err) const {
         bool ok = true;
-        const auto expect = [&](const char *what, std::uint64_t got) {
-            if (got == cycles)
+        const auto expect = [&](const char *what, std::uint64_t got,
+                                std::uint64_t want, const char *unit) {
+            if (got == want)
                 return;
             err << "conservation mismatch: " << what << " = " << got
-                << ", pipeline reports " << cycles << " cycles\n";
+                << ", pipeline reports " << want << ' ' << unit << '\n';
             ok = false;
         };
+        const std::uint64_t cycles = pipe.cycles();
+        const std::uint64_t events = pipe.instructions();
         if (perf != nullptr)
-            expect("perf cycles", perf->totals().cycles());
-        if (cct != nullptr)
-            expect("cct cycles", cct->totalCycles());
+            expect("perf cycles", perf->totals().cycles(), cycles,
+                   "cycles");
+        if (cct != nullptr) {
+            std::uint64_t nodeCycles = 0;
+            std::uint64_t nodeEvents = 0;
+            for (const prof::CctNode &n : cct->nodes()) {
+                nodeCycles += n.cycles();
+                nodeEvents += n.events;
+            }
+            expect("cct events", cct->totalEvents(), events, "events");
+            expect("cct cycles", cct->totalCycles(), cycles, "cycles");
+            expect("sum(cct node events)", nodeEvents, events, "events");
+            expect("sum(cct node cycles)", nodeCycles, cycles, "cycles");
+        }
         if (sampler != nullptr)
-            expect("sampler clock", sampler->clockTotal());
+            expect("sampler clock", sampler->clockTotal(), cycles,
+                   "cycles");
         return ok;
     }
 };

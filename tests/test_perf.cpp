@@ -202,37 +202,41 @@ TEST(Perf, ListenerDoesNotPerturbPipelineTiming)
 
 TEST(Perf, TimelineMatchesTimeSeriesCacheSink)
 {
-    const RecordedRun rec = recordTiny("db", "jit");
     const CacheConfig icfg{64 * 1024, 32, 2, true};
     const CacheConfig dcfg{64 * 1024, 32, 4, true};
-    // Exercise a partial final window, an exact-divisor window, and a
-    // window larger than the stream.
-    const std::uint64_t total = rec.trace->size();
-    ASSERT_GT(total, 2u);
-    for (const std::uint64_t window :
-         {total / 7 + 1, total / 2, total, total * 2}) {
-        SCOPED_TRACE("window=" + std::to_string(window));
-        TimeSeriesCacheSink legacy(icfg, dcfg, window);
-        rec.trace->replay(legacy);
+    // Figure 6's two streams: db interpreted and db compiled.
+    for (const char *mode : {"interp", "jit"}) {
+        const RecordedRun rec = recordTiny("db", mode);
+        // Exercise Figure 6's ~40 windows, a partial final window, an
+        // exact-divisor window, and a window larger than the stream.
+        const std::uint64_t total = rec.trace->size();
+        ASSERT_GT(total, 80u);
+        for (const std::uint64_t window :
+             {total / 40, total / 7 + 1, total / 2, total, total * 2}) {
+            SCOPED_TRACE(std::string(mode)
+                         + " window=" + std::to_string(window));
+            TimeSeriesCacheSink legacy(icfg, dcfg, window);
+            rec.trace->replay(legacy);
 
-        obs::PerfOptions popt;
-        popt.timelineWindow = window;
-        obs::AttributedCaches ported(icfg, dcfg, rec.methods, popt);
-        rec.trace->replay(ported);
+            obs::PerfOptions popt;
+            popt.timelineWindow = window;
+            obs::AttributedCaches ported(icfg, dcfg, rec.methods, popt);
+            rec.trace->replay(ported);
 
-        const auto &got = ported.perf().timeline();
-        const auto &want = legacy.samples();
-        ASSERT_EQ(got.size(), want.size());
-        for (std::size_t i = 0; i < got.size(); ++i) {
-            EXPECT_EQ(got[i].bad[idx(PerfKind::ICacheFetch)],
-                      want[i].iMisses);
-            EXPECT_EQ(got[i].bad[idx(PerfKind::DCacheLoad)]
-                          + got[i].bad[idx(PerfKind::DCacheStore)],
-                      want[i].dMisses);
-            EXPECT_EQ(got[i].bad[idx(PerfKind::DCacheStore)],
-                      want[i].dWriteMisses);
-            EXPECT_EQ(got[i].translateEvents,
-                      want[i].translateEvents);
+            const auto &got = ported.perf().timeline();
+            const auto &want = legacy.samples();
+            ASSERT_EQ(got.size(), want.size());
+            for (std::size_t i = 0; i < got.size(); ++i) {
+                EXPECT_EQ(got[i].bad[idx(PerfKind::ICacheFetch)],
+                          want[i].iMisses);
+                EXPECT_EQ(got[i].bad[idx(PerfKind::DCacheLoad)]
+                              + got[i].bad[idx(PerfKind::DCacheStore)],
+                          want[i].dMisses);
+                EXPECT_EQ(got[i].bad[idx(PerfKind::DCacheStore)],
+                          want[i].dWriteMisses);
+                EXPECT_EQ(got[i].translateEvents,
+                          want[i].translateEvents);
+            }
         }
     }
 }

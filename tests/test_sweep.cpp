@@ -1,14 +1,18 @@
 /**
  * @file
  * Sweep-engine contract tests: parallel results are bit-identical to
- * live serial runs and to replaying a recording of each stream into
- * the same sinks — profiler reports included — and faults poison only
- * their own point (with the same message at any job count).
+ * live serial runs, to the serial reference behind `--compare-serial`
+ * (which must also catch a changed metric or ok flag) and to replaying
+ * a recording of each stream into the same sinks — profiler reports
+ * included — and faults poison only their own point (with the same
+ * message at any job count).
  */
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <filesystem>
 #include <map>
+#include <sstream>
 #include <stdexcept>
 
 #include "arch/bpred/predictors.h"
@@ -19,6 +23,7 @@
 #include "isa/trace_io.h"
 #include "sweep/grids.h"
 #include "sweep/observers.h"
+#include "sweep/serial_reference.h"
 #include "sweep/sweep.h"
 #include "vm/runtime/vm_error.h"
 
@@ -183,6 +188,47 @@ TEST(Sweep, ParallelResultsBitIdenticalToLiveSerial)
     EXPECT_EQ(result.traces.recordings, 4u);
 }
 
+TEST(Sweep, SerialReferenceHoldsTheEngineBitForBit)
+{
+    const std::vector<SweepPoint> grid = mixedGrid();
+    const SweepResult swept = sweepOn(grid, 4);
+    ASSERT_TRUE(swept.allOk());
+    const SweepResult reference = runSerialReference(grid);
+    EXPECT_EQ(reference.traces.recordings, 4u);
+    EXPECT_TRUE(compareResults(swept, reference).empty());
+    std::ostringstream out, err;
+    EXPECT_TRUE(compareSerial(grid, swept, out, err)) << err.str();
+    EXPECT_NE(out.str().find("all 16 points bit-identical"),
+              std::string::npos)
+        << out.str();
+
+    // One metric one ulp off: the check fails and names that point.
+    SweepResult nudged = swept;
+    Metric &m = nudged.points[5].metrics.back();
+    m.value = std::nextafter(m.value, HUGE_VAL);
+    const std::vector<std::string> diffs =
+        compareResults(nudged, reference);
+    ASSERT_EQ(diffs.size(), 1u);
+    EXPECT_EQ(diffs[0].rfind(nudged.points[5].label + ": metric "
+                                 + m.name, 0),
+              0u)
+        << diffs[0];
+    err.str("");
+    EXPECT_FALSE(compareSerial(grid, nudged, out, err));
+    EXPECT_NE(err.str().find("MISMATCH " + nudged.points[5].label),
+              std::string::npos)
+        << err.str();
+
+    // One point's ok flag flipped.
+    SweepResult flipped = swept;
+    flipped.points[10].ok = false;
+    const std::vector<std::string> flips =
+        compareResults(flipped, reference);
+    ASSERT_EQ(flips.size(), 1u);
+    EXPECT_EQ(flips[0].rfind(flipped.points[10].label + ": ok", 0), 0u)
+        << flips[0];
+}
+
 TEST(Sweep, ThrowingSinkFactoryPoisonsOnlyItsPoint)
 {
     const TraceKey key = tinyKey("compress", ExecMode::interp());
@@ -209,6 +255,8 @@ TEST(Sweep, ThrowingSinkFactoryPoisonsOnlyItsPoint)
     EXPECT_GT(result.points[0].traceEvents, 0u);
     EXPECT_EQ(result.points[0].traceEvents,
               result.points[2].traceEvents);
+    // The serial reference isolates factories the same way.
+    EXPECT_TRUE(compareResults(result, runSerialReference(grid)).empty());
 }
 
 /** Sink that dies mid-stream; the fan-out must contain the blast. */
