@@ -8,18 +8,25 @@
 
 RESULT is layerbench's stdout, whose last line is the JSON result;
 BASELINE is such a result from a known-good build. The gate exits 1
-when the run is not correct, counts a failed operation, or takes more
-than MAX_RATIO times the baseline's wall_s or cpu_s, and 2 when an
-input cannot be read. The ratio is generous on purpose: CI hardware
-varies, and the regressions worth stopping here (an accidental
-quadratic loop, logging left on) are far past it.
+when the run is not correct, counts a failed operation, takes more
+than 4x the baseline's wall_s or cpu_s, or peaks above 1.10x its
+peak_rss_mb, and 2 when an input cannot be read. The time ratio is
+generous on purpose: CI hardware varies, and the regressions worth
+stopping here (an accidental quadratic loop, logging left on) are far
+past it. Peak memory varies little between hosts: on profile_replay it
+is almost all the two recorded streams, so 10% is a real regression
+(a wider trace record, a stream held twice).
 """
 
 import json
 import sys
 
-MAX_RATIO = 4.0
-GATED = ("wall_s", "cpu_s")
+# Metric -> (unit, largest allowed ratio to the baseline).
+GATED = {
+    "wall_s": ("s", 4.0),
+    "cpu_s": ("s", 4.0),
+    "peak_rss_mb": ("MB", 1.10),
+}
 
 
 def last_line(path):
@@ -30,7 +37,7 @@ def last_line(path):
     return json.loads(lines[-1])
 
 
-def seconds(result, name):
+def value(result, name):
     return float(result["metrics"][name]["value"])
 
 
@@ -42,7 +49,7 @@ def main(argv):
         with open(argv[1]) as f:
             base = json.load(f)
         result = last_line(argv[2])
-        ratios = {name: seconds(result, name) / seconds(base, name)
+        ratios = {name: value(result, name) / value(base, name)
                   for name in GATED}
     except (OSError, ValueError, KeyError, TypeError,
             ZeroDivisionError) as e:
@@ -55,10 +62,11 @@ def main(argv):
     if result.get("failed", 1) != 0:
         problems.append(f"{result.get('failed')} failed operations")
     for name, ratio in ratios.items():
-        print(f"{name}: {seconds(result, name):.3f} s vs baseline "
-              f"{seconds(base, name):.3f} s ({ratio:.2f}x, "
-              f"limit {MAX_RATIO:g}x)")
-        if ratio > MAX_RATIO:
+        unit, limit = GATED[name]
+        print(f"{name}: {value(result, name):.3f} {unit} vs baseline "
+              f"{value(base, name):.3f} {unit} ({ratio:.2f}x, "
+              f"limit {limit:g}x)")
+        if ratio > limit:
             problems.append(f"{name} is {ratio:.2f}x the baseline")
     for p in problems:
         print(f"FAIL: {p}")

@@ -96,6 +96,8 @@ TraceInvariantChecker::onEvent(const TraceEvent &ev)
     if (ev.phase == Phase::NativeExec && (ev.pc & 3) != 0)
         flag("NativeExec pc " + hex(ev.pc) + " not 4-byte aligned");
 
+    // One address operand: the effective address of a memory kind,
+    // the destination of a control kind, 0 for every other kind.
     if (isMemory(ev.kind)) {
         if (ev.mem == 0)
             flag("memory event with null effective address");
@@ -112,9 +114,6 @@ TraceInvariantChecker::onEvent(const TraceEvent &ev)
                  + std::to_string(static_cast<int>(ev.memSize)));
         }
     } else {
-        if (ev.mem != 0)
-            flag(std::string(nkindName(ev.kind))
-                 + " carries effective address " + hex(ev.mem));
         if (ev.memSize != 0)
             flag(std::string(nkindName(ev.kind)) + " carries memSize "
                  + std::to_string(static_cast<int>(ev.memSize)));
@@ -127,13 +126,13 @@ TraceInvariantChecker::onEvent(const TraceEvent &ev)
         if (ev.kind != NKind::Branch && ev.kind != NKind::Ret
             && ev.target == 0)
             flag(std::string(nkindName(ev.kind)) + " with null target");
-    } else {
-        if (ev.taken)
-            flag(std::string(nkindName(ev.kind)) + " marked taken");
-        if (ev.target != 0)
-            flag(std::string(nkindName(ev.kind)) + " carries target "
-                 + hex(ev.target));
+    } else if (ev.taken) {
+        flag(std::string(nkindName(ev.kind)) + " marked taken");
     }
+
+    if (!isMemory(ev.kind) && !isControl(ev.kind) && ev.mem != 0)
+        flag(std::string(nkindName(ev.kind)) + " carries address "
+             + hex(ev.mem));
 
     if (!legalReg(ev.rd) || !legalReg(ev.rs1) || !legalReg(ev.rs2))
         flag("register id out of range (not <32 and not kNoReg)");

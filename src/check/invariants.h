@@ -20,10 +20,12 @@
  *    address_map region (heap, stacks, class data, translate/runtime
  *    data, code cache installs, interpreter jump tables, translator
  *    rodata) and a power-of-two size in [1, 8]; non-memory events
- *    carry none
+ *    carry no size
  *  - branch events carry an outcome; all other control kinds are
  *    always "taken" and (except Ret) carry a nonzero target;
- *    non-control events carry neither outcome nor target
+ *    non-control events carry no outcome
+ *  - an event that is neither memory nor control carries no address
+ *    (its one address operand, TraceEvent::mem/target, is 0)
  *  - register ids are < 32 or kNoReg
  *
  * Cross-run conservation (needs the producing RunResult):

@@ -5,11 +5,11 @@
  * TraceBuffer records a stream once so it can be replayed into any
  * number of downstream sinks, any number of times (benchmarks that
  * time the models on a fixed stream, tests). Events are stored as raw
- * TraceEvent structs so recording is a copy and replay is a pointer
- * walk. On disk a stream is a JRSTRACE file (trace_io.h): write one
- * with TraceFileWriter, read one back with replayTraceFile into a
- * buffer; the record codec covers every TraceEvent field, so a stream
- * round-trips through a file losslessly.
+ * 24-byte TraceEvent structs so recording is a copy and replay is a
+ * pointer walk. On disk a stream is a JRSTRACE file (trace_io.h) whose
+ * records have that same layout: write one with TraceFileWriter, read
+ * one back with replayTraceFile into a buffer, and the stream
+ * round-trips losslessly at the same 24 bytes per event.
  *
  * Storage is chunked so multi-hundred-MB streams grow without
  * reallocation spikes. A fully recorded buffer is immutable in
@@ -29,7 +29,7 @@ namespace jrs {
 /** Growable packed event store; see file comment. */
 class TraceBuffer : public TraceSink {
   public:
-    /** Events per storage chunk (~6 MB each). */
+    /** Events per storage chunk (3 MiB each). */
     static constexpr std::size_t kChunkEvents = 128 * 1024;
 
     TraceBuffer() = default;

@@ -1,6 +1,6 @@
 /**
  * @file
- * Shared JSON plumbing for every jrs-*-v1 writer (and the one reader).
+ * Shared JSON plumbing for every jrs-*-v1 writer.
  *
  * All observability schemas (jrs-metrics-v1, jrs-perf-report-v1,
  * jrs-cct-v1, jrs-sample-v1, the Chrome trace-event
@@ -19,19 +19,11 @@
  * document and folded-stack file goes through it, so a write that
  * fails (a missing directory, a full disk) throws instead of leaving
  * a short or empty file behind a zero exit status.
- *
- * JsonParser is the tree's one JSON reader: a minimal recursive-descent
- * parser covering what the writers above emit — strings, finite
- * numbers, objects, arrays, true/false/null, no \u surrogate pairs. It
- * exists so the round-trip tests need no external JSON dependency; it
- * is strict enough to reject files this tree did not write.
  */
 #ifndef JRS_OBS_JSON_H
 #define JRS_OBS_JSON_H
 
 #include <string>
-#include <utility>
-#include <vector>
 
 namespace jrs::obs {
 
@@ -48,53 +40,6 @@ std::string jsonNumber(double v);
  */
 void writeTextFile(const std::string &path, const std::string &body,
                    const std::string &what);
-
-/** See file comment. Throws VmError on malformed input. */
-class JsonParser {
-  public:
-    struct Value {
-        enum Kind { Null, Bool, Number, String, Array, Object } kind =
-            Null;
-        bool b = false;
-        double num = 0;
-        std::string str;
-        std::vector<Value> items;
-        std::vector<std::pair<std::string, Value>> fields;
-
-        /** Object field @p name, or null when absent. */
-        const Value *field(const std::string &name) const {
-            for (const auto &f : fields) {
-                if (f.first == name)
-                    return &f.second;
-            }
-            return nullptr;
-        }
-    };
-
-    /**
-     * @p text must outlive the parser. @p what names the schema in
-     * error messages ("jrs-sample-v1 parse error at byte N: ...").
-     */
-    explicit JsonParser(const std::string &text,
-                        std::string what = "json");
-
-    /** Parse the whole document; rejects trailing content. */
-    Value parse();
-
-  private:
-    [[noreturn]] void fail(const std::string &why) const;
-    void ws();
-    char peek();
-    void expect(char c);
-    bool consume(char c);
-    std::string string();
-    Value value();
-    void literal(const char *lit);
-
-    const std::string &s_;
-    std::string what_;
-    std::size_t pos_ = 0;
-};
 
 } // namespace jrs::obs
 

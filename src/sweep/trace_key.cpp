@@ -57,7 +57,7 @@ TraceKey::str() const
             + "fit";
     if (osrBackEdgeThreshold != 0)
         s += "-osr" + std::to_string(osrBackEdgeThreshold);
-    return s + "-v" + std::to_string(kTraceVersion);
+    return s + "-v1";
 }
 
 RunSpec

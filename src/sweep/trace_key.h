@@ -64,8 +64,9 @@ struct TraceKey {
     /**
      * Canonical, filename-safe string, e.g.
      * "compress-a0-jit-thin_lock-q300-v1", which names every sweep
-     * result row and profiler report. The trailing v component is the
-     * JRSTRACE format version. Collector and heap components
+     * result row and profiler report. The trailing v component
+     * versions the stream the key names, not a file encoding of it
+     * (the JRSTRACE version). Collector and heap components
      * ("-marksweep", "-h33554432", "-gb65536", "-ge8"), code-cache
      * components ("-cc65536-lru", "-bestfit") and the OSR component
      * ("-osr64") appear only when non-default, so every pre-existing

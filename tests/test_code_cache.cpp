@@ -63,8 +63,8 @@ class DigestSink : public TraceSink {
   public:
     void onEvent(const TraceEvent &ev) override {
         put(ev.pc);
-        put(ev.mem);
-        put(ev.target);
+        put(isMemory(ev.kind) ? ev.mem : 0);
+        put(isControl(ev.kind) ? ev.target : 0);
         put(static_cast<std::uint64_t>(ev.kind));
         put(static_cast<std::uint64_t>(ev.phase));
         put(ev.taken ? 1 : 0);

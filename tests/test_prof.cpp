@@ -137,8 +137,8 @@ struct DigestSink : TraceSink {
     void onEvent(const TraceEvent &e) override
     {
         put(e.pc);
-        put(e.mem);
-        put(e.target);
+        put(isMemory(e.kind) ? e.mem : 0);
+        put(isControl(e.kind) ? e.target : 0);
         put(static_cast<std::uint64_t>(e.kind));
         put(static_cast<std::uint64_t>(e.phase));
         put(e.taken ? 1 : 0);
@@ -178,8 +178,11 @@ ev(NKind kind, Phase phase, std::uint64_t pc = 0,
     e.kind = kind;
     e.phase = phase;
     e.pc = pc;
-    e.target = target;
-    e.mem = mem;
+    // One address operand: the one the kind carries.
+    if (isControl(kind))
+        e.target = target;
+    else if (isMemory(kind))
+        e.mem = mem;
     return e;
 }
 

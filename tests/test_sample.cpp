@@ -17,7 +17,7 @@
  *    reproduces the exact profiler's folded output exactly, and
  *    calibration error shrinks as the period does on a synthetic
  *    two-hot-method stream.
- *  - jrs-sample-v1 documents parse back through obs::JsonParser
+ *  - jrs-sample-v1 documents parse back through test::JsonParser
  *    (the report set itself is tested for all schemas in
  *    test_perf.cpp).
  *  - Calibration metrics (top-N overlap, rank agreement) on
@@ -35,9 +35,9 @@
 #include "harness/experiment.h"
 #include "isa/address_map.h"
 #include "isa/trace_buffer.h"
+#include "json_parser.h"
 #include "obs/attribution.h"
 #include "obs/cli.h"
-#include "obs/json.h"
 #include "prof/cct.h"
 #include "prof/frame_tracker.h"
 #include "prof/sampler.h"
@@ -84,8 +84,8 @@ struct DigestSink : TraceSink {
     void onEvent(const TraceEvent &e) override
     {
         put(e.pc);
-        put(e.mem);
-        put(e.target);
+        put(isMemory(e.kind) ? e.mem : 0);
+        put(isControl(e.kind) ? e.target : 0);
         put(static_cast<std::uint64_t>(e.kind));
         put(static_cast<std::uint64_t>(e.phase));
         put(e.taken ? 1 : 0);
@@ -121,8 +121,11 @@ ev(NKind kind, Phase phase, std::uint64_t pc = 0,
     e.kind = kind;
     e.phase = phase;
     e.pc = pc;
-    e.target = target;
-    e.mem = mem;
+    // One address operand: the one the kind carries.
+    if (isControl(kind))
+        e.target = target;
+    else if (isMemory(kind))
+        e.mem = mem;
     return e;
 }
 
@@ -412,14 +415,14 @@ TEST(Sampler, JsonRoundTripsThroughParser)
 
     obs::ReportSet reports("jrs-sample-v1");
     reports.add("hello/jit", sp.sampler());
-    const obs::JsonParser::Value doc =
-        obs::JsonParser(reports.toJson(), "jrs-sample-v1").parse();
+    const test::JsonParser::Value doc =
+        test::JsonParser(reports.toJson(), "jrs-sample-v1").parse();
     ASSERT_NE(doc.field("schema"), nullptr);
     EXPECT_EQ(doc.field("schema")->str, "jrs-sample-v1");
-    const obs::JsonParser::Value *runs = doc.field("runs");
+    const test::JsonParser::Value *runs = doc.field("runs");
     ASSERT_NE(runs, nullptr);
     ASSERT_EQ(runs->items.size(), 1u);
-    const obs::JsonParser::Value &run = runs->items[0];
+    const test::JsonParser::Value &run = runs->items[0];
     EXPECT_EQ(run.field("label")->str, "hello/jit");
     EXPECT_EQ(run.field("clock")->str, "cycles");
     EXPECT_EQ(static_cast<std::uint64_t>(run.field("samples")->num),
@@ -429,10 +432,10 @@ TEST(Sampler, JsonRoundTripsThroughParser)
               sp.pipeline().cycles());
 
     // Per-node samples partition the total.
-    const obs::JsonParser::Value *nodes = run.field("nodes");
+    const test::JsonParser::Value *nodes = run.field("nodes");
     ASSERT_NE(nodes, nullptr);
     std::uint64_t sum = 0;
-    for (const obs::JsonParser::Value &n : nodes->items)
+    for (const test::JsonParser::Value &n : nodes->items)
         sum += static_cast<std::uint64_t>(n.field("samples")->num);
     EXPECT_EQ(sum, sp.sampler().samples());
 }
